@@ -10,11 +10,12 @@
 #                                    # tests under -fsanitize=thread and
 #                                    # re-run them (guards RunFleetParallel
 #                                    # against data races)
-#   NATPUNCH_ASAN=1 scripts/check.sh # ...then rebuild the chaos/failure
-#                                    # tests under -fsanitize=address,undefined
-#                                    # and re-run them (fault injection and
-#                                    # session teardown are where lifetime
-#                                    # bugs hide)
+#   NATPUNCH_ASAN=1 scripts/check.sh # ...then rebuild the chaos/failure,
+#                                    # event-loop/Lan and timer-wheel tests
+#                                    # under -fsanitize=address,undefined and
+#                                    # re-run them (fault injection, session
+#                                    # teardown, and in-flight packets outliving
+#                                    # their Lan are where lifetime bugs hide)
 #
 # The compiler comes from the standard CC/CXX environment variables (CMake
 # picks them up on a fresh configure); use a distinct BUILD_DIR per compiler
@@ -83,6 +84,7 @@ if [[ "${NATPUNCH_TSAN:-0}" == "1" ]]; then
 fi
 
 if [[ "${NATPUNCH_ASAN:-0}" == "1" ]]; then
-  echo "==== ASan/UBSan pass: rebuilding chaos/failure tests with -fsanitize=address,undefined ===="
-  sanitizer_pass "$ASAN_BUILD_DIR" address,undefined 'Chaos|Failure' chaos_test failure_test
+  echo "==== ASan/UBSan pass: rebuilding chaos/failure/netsim/wheel tests with -fsanitize=address,undefined ===="
+  sanitizer_pass "$ASAN_BUILD_DIR" address,undefined 'Chaos|Failure|EventLoop|Lan|TimerWheel' \
+    chaos_test failure_test netsim_test timer_wheel_test
 fi

@@ -63,13 +63,27 @@ EventLoop::EventId EventLoop::ScheduleAt(SimTime at, std::function<void()> fn) {
   EnsureSlotCapacity();
   const uint64_t seq = next_seq_++;
   const EventId id = seq << 1;
-  Slot& slot = slots_[static_cast<size_t>(seq) & ring_mask_];
-  slot.fn = std::move(fn);
-  slot.pending = true;
+  slots_[static_cast<size_t>(seq) & ring_mask_].fn = std::move(fn);
   HeapPush(HeapEntry{t, id});
   ++live_;
   obs::Set(metric_heap_depth_, static_cast<int64_t>(live_));
   return id;
+}
+
+EventLoop::EventId EventLoop::ReserveEvent(ReservedOwner* owner) {
+  EnsureSlotCapacity();
+  const uint64_t seq = next_seq_++;
+  slots_[static_cast<size_t>(seq) & ring_mask_].owner = owner;
+  ++live_;
+  obs::Set(metric_heap_depth_, static_cast<int64_t>(live_));
+  return seq << 1;
+}
+
+void EventLoop::CancelReserved(EventId id) {
+  // The armed key, if any, dies lazily in PopDead like a cancelled closure.
+  SlotFor(id)->owner = nullptr;
+  --live_;
+  CompactFront();
 }
 
 void EventLoop::EnsureSlotCapacity() {
@@ -102,7 +116,7 @@ void EventLoop::EnsureSlotCapacity() {
 }
 
 void EventLoop::Reset() {
-  // Only the live sequence window can hold closures: fired and cancelled
+  // Only the live sequence window can hold events: fired and cancelled
   // slots are nulled on retirement, and sequences below base_seq_ were
   // compacted past. A fleet worker Resets once per device simulation, so
   // clearing the (typically tiny) window instead of the whole ring matters
@@ -110,7 +124,10 @@ void EventLoop::Reset() {
   for (uint64_t seq = base_seq_; seq < next_seq_; ++seq) {
     Slot& slot = slots_[static_cast<size_t>(seq) & ring_mask_];
     slot.fn = nullptr;  // destroys pending closures (and anything they own)
-    slot.pending = false;
+    if (slot.owner != nullptr) {
+      slot.owner->DropReserved();
+      slot.owner = nullptr;
+    }
   }
   // Detach every armed timer so its handle reads !pending() and a later
   // destructor or re-arm is safe. Heap-resident timers are reachable through
@@ -172,8 +189,8 @@ EventLoop::Slot* EventLoop::SlotFor(EventId id) {
 void EventLoop::CompactFront() {
   // Timer sequences never mark their ring slot pending, so a long-armed
   // keepalive parked in the wheel does not pin the window open; only live
-  // closure events do.
-  while (base_seq_ < next_seq_ && !slots_[static_cast<size_t>(base_seq_) & ring_mask_].pending) {
+  // closure and reserved events do.
+  while (base_seq_ < next_seq_ && !slots_[static_cast<size_t>(base_seq_) & ring_mask_].pending()) {
     ++base_seq_;
   }
 }
@@ -189,7 +206,7 @@ void EventLoop::PopDead() {
       }
     } else {
       Slot* slot = SlotFor(id);
-      if (slot != nullptr && slot->pending) {
+      if (slot != nullptr && slot->pending()) {
         return;
       }
     }
@@ -199,10 +216,9 @@ void EventLoop::PopDead() {
 
 bool EventLoop::Cancel(EventId id) {
   Slot* slot = SlotFor(id);
-  if (slot == nullptr || !slot->pending) {
+  if (slot == nullptr || !slot->fn) {
     return false;
   }
-  slot->pending = false;
   slot->fn = nullptr;  // tombstone: the heap entry dies lazily in PopDead
   --live_;
   CompactFront();
@@ -484,14 +500,20 @@ void EventLoop::DispatchTop() {
     return;
   }
   Slot* slot = SlotFor(top.id);
-  std::function<void()> fn = std::move(slot->fn);
-  slot->pending = false;
-  slot->fn = nullptr;
   --live_;
-  CompactFront();  // `slot` is dead past this point
   now_ = SimTime(top.time);
   ++events_processed_;
   obs::Inc(metric_dispatched_);
+  if (slot->owner != nullptr) {
+    ReservedOwner* owner = slot->owner;
+    slot->owner = nullptr;
+    CompactFront();  // `slot` is dead past this point
+    owner->FireReserved();
+    return;
+  }
+  std::function<void()> fn = std::move(slot->fn);
+  slot->fn = nullptr;
+  CompactFront();  // `slot` is dead past this point
   fn();
 }
 

@@ -6,30 +6,47 @@
 // reproducing exact packet interleavings (e.g. whether A's SYN reaches B's
 // NAT before B's SYN leaves it).
 //
-// Two scheduling tiers share one insertion-sequence counter:
+// Two scheduling tiers, plus the reserved events described below, share one
+// insertion-sequence counter:
 //
-//  * ScheduleAt/ScheduleAfter — closure events (packet deliveries, one-shot
-//    control work). A 4-ary min-heap of (time, sequence) keys with lazy
-//    cancellation; callbacks live in a power-of-two ring buffer indexed by
-//    sequence, which gives O(1) id lookup with no hashing and a steady-state
-//    allocation-free packet path.
+//  * ScheduleAt/ScheduleAfter — closure events (one-shot control work). A
+//    4-ary min-heap of (time, sequence) keys with lazy cancellation;
+//    callbacks live in a power-of-two ring buffer indexed by sequence, which
+//    gives O(1) id lookup with no hashing.
 //
 //  * ScheduleTimerAt/ScheduleTimerAfter — intrusive TimerHandle events for
 //    the coarse periodic tier (keepalives, NAT mapping expiry, relay
-//    watchdogs, TURN refresh). A handle embeds its list links, deadline, and
-//    a member-function thunk in the owning object, so arming a timer
-//    allocates nothing and dispatch is one indirect call — no std::function,
-//    no type erasure. Far-out timers are parked in a hierarchical timing
-//    wheel (4 levels x 64 slots) and only migrate into the heap shortly
-//    before they are due, so a million armed keepalives cost the heap
-//    nothing until their slot comes up.
+//    watchdogs, TURN refresh, scripted faults). A handle embeds its list
+//    links, deadline, and a member-function thunk in the owning object, so
+//    arming a timer allocates nothing and dispatch is one indirect call — no
+//    std::function, no type erasure. Far-out timers are parked in a
+//    hierarchical timing wheel (4 levels x 64 slots) and only migrate into
+//    the heap shortly before they are due, so a million armed keepalives
+//    cost the heap nothing until their slot comes up.
 //
 // The wheel is a staging area, never a dispatch path: every timer enters the
 // heap carrying its original (time, sequence) key before the clock reaches
 // its slot, so the pop sequence is byte-identical to a heap-only scheduler
 // (SetTimerWheelEnabled(false) is the differential oracle for exactly that
-// claim). Both kinds of event share the sequence counter, so cross-tier ties
+// claim). All kinds of event share the sequence counter, so cross-tier ties
 // at the same instant also fire in schedule order.
+//
+// Reserved events (ReserveEvent/ArmReserved) let an owner that keeps its own
+// time-ordered queue take part in that order without putting every entry in
+// the heap. Packet deliveries work this way: each Lan holds its in-flight
+// packets in one list sorted by (delivery time, event id) and keeps only the
+// list head armed in the heap. ReserveEvent takes the next sequence number
+// at the moment the closure tier would have, marks the sequence's ring slot
+// pending (so the window cannot compact past it, pending_count() counts it,
+// and Reset() reaches it), and returns its id; the key is pushed only when
+// the owner arms it. Ordering holds because every key keeps the (time, id)
+// it would have had as a closure event, and an owner's unarmed entries all
+// sort after its armed head: the head is the owner's minimum, so the
+// heap's minimum over heads is the global minimum over all entries, and
+// when the head fires the owner arms its successor (never earlier than the
+// head) before anything later can pop. A reserved event dispatches through
+// its ring slot (one indirect call to its owner), never through the timer
+// tier's id -> handle map and never via the wheel.
 
 #ifndef SRC_NETSIM_EVENT_LOOP_H_
 #define SRC_NETSIM_EVENT_LOOP_H_
@@ -142,6 +159,30 @@ class EventLoop {
   // Cancel an armed timer. Returns true if it was still pending.
   bool CancelTimer(TimerHandle* timer);
 
+  // Owner of reserved events. FireReserved runs when one of the owner's
+  // armed keys is dispatched (the owner knows which: its queue head);
+  // DropReserved runs from Reset() for every reserved event still pending,
+  // and must forget the owner's whole queue without calling back into the
+  // loop.
+  class ReservedOwner {
+   public:
+    virtual void FireReserved() = 0;
+    virtual void DropReserved() = 0;
+
+   protected:
+    ~ReservedOwner() = default;
+  };
+
+  // Take the next event id for `owner` without scheduling it: the id's
+  // sequence is the one ScheduleAt would have used at this moment, and the
+  // event counts as pending from here on. ArmReserved(at, id) later pushes
+  // the (at, id) key into the heap — at most once per id, with `at` fixed
+  // at reservation time — and CancelReserved(id) retires a reserved event
+  // that will never fire (armed or not). Cancel(id) never applies to it.
+  EventId ReserveEvent(ReservedOwner* owner);
+  void ArmReserved(SimTime at, EventId id) { HeapPush(HeapEntry{at.micros(), id}); }
+  void CancelReserved(EventId id);
+
   // Differential oracle switch: with the wheel off, timers go straight to
   // the heap at schedule time. Either mode produces the identical dispatch
   // sequence; tests compare trace dumps across the two to prove it. Flip
@@ -171,7 +212,8 @@ class EventLoop {
   // Return to the pristine just-constructed state (clock at 0, no pending
   // events, counters zeroed) while KEEPING the heap, ring, and timer-map
   // capacities, so a reused loop schedules without allocating. Pending
-  // closures are destroyed and armed timers detach (their handles read
+  // closures are destroyed, reserved events are dropped through their
+  // owners' DropReserved, and armed timers detach (their handles read
   // !pending()). Lets fleet workers run thousands of device simulations on
   // one arena. Attached metrics handles and the wheel-enabled flag survive a
   // Reset (the registry the handles live in is reset separately by
@@ -213,9 +255,14 @@ class EventLoop {
   void HeapPush(HeapEntry entry);
   void HeapPopTop();
 
+  // A closure event holds `fn`, a reserved event its `owner`; a slot with
+  // neither is retired (fired, cancelled, or a timer's sequence). ScheduleAt
+  // therefore requires a non-empty `fn`.
   struct Slot {
     std::function<void()> fn;
-    bool pending = false;
+    ReservedOwner* owner = nullptr;
+
+    bool pending() const { return owner != nullptr || static_cast<bool>(fn); }
   };
 
   // --- Hierarchical timing wheel (timer staging tier) -----------------------

@@ -4,19 +4,22 @@
 
 namespace natpunch {
 
-void FaultScheduler::Execute(const std::string& node, const std::string& label,
-                             const std::function<void()>& action) {
+void FaultScheduler::Execute(const Fault& fault) {
   ++faults_executed_;
-  network_->trace().RecordEvent(network_->now(), node, TraceEvent::kFault, label);
-  action();
+  network_->trace().RecordEvent(network_->now(), fault.node, TraceEvent::kFault, fault.label);
+  fault.action();
 }
 
 void FaultScheduler::Schedule(SimTime at, std::string node, std::string label,
                               std::function<void()> action) {
   ++faults_scheduled_;
-  network_->event_loop().ScheduleAt(
-      at, [this, node = std::move(node), label = std::move(label),
-           action = std::move(action)] { Execute(node, label, action); });
+  Fault& fault = faults_.emplace_back();
+  fault.scheduler = this;
+  fault.node = std::move(node);
+  fault.label = std::move(label);
+  fault.action = std::move(action);
+  fault.timer.Bind<&Fault::Fire>(&fault);
+  network_->event_loop().ScheduleTimerAt(at, &fault.timer);
 }
 
 void FaultScheduler::LinkDown(SimTime at, Lan* lan, SimDuration downtime) {

@@ -14,10 +14,12 @@
 #define SRC_NETSIM_FAULT_H_
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <string>
 #include <vector>
 
+#include "src/netsim/event_loop.h"
 #include "src/netsim/network.h"
 
 namespace natpunch {
@@ -58,13 +60,26 @@ class FaultScheduler {
   size_t faults_scheduled() const { return faults_scheduled_; }
 
  private:
-  void Execute(const std::string& node, const std::string& label,
-               const std::function<void()>& action);
+  // One scripted fault. Its timer is intrusive, so a fault pending far in
+  // the future holds no closure-ring slot and never pins the ring's window
+  // open; destroying the scheduler cancels every fault still pending.
+  struct Fault {
+    FaultScheduler* scheduler = nullptr;
+    std::string node;
+    std::string label;
+    std::function<void()> action;
+    TimerHandle timer;
+
+    void Fire() { scheduler->Execute(*this); }
+  };
+
+  void Execute(const Fault& fault);
   void Schedule(SimTime at, std::string node, std::string label, std::function<void()> action);
 
   Network* network_;
   size_t faults_executed_ = 0;
   size_t faults_scheduled_ = 0;
+  std::deque<Fault> faults_;  // a deque never moves its entries: timers link by address
 };
 
 }  // namespace natpunch

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <memory>
+#include <utility>
 
 #include "src/netsim/network.h"
 #include "src/netsim/node.h"
@@ -23,6 +25,16 @@ Lan::Lan(Network* network, std::string name, LanConfig config)
     metric_duplicated_ = metric("duplicated");
     metric_reordered_ = metric("reordered");
     metric_truncated_ = metric("truncated");
+  }
+}
+
+Lan::~Lan() {
+  EventLoop& loop = network_->event_loop();
+  for (uint32_t slot = head_; slot != kNoSlot; slot = delivery(slot).next) {
+    loop.CancelReserved(delivery(slot).id);
+  }
+  for (uint32_t slot = 0; slot < slot_count_; ++slot) {
+    std::destroy_at(&delivery(slot));
   }
 }
 
@@ -117,32 +129,69 @@ void Lan::Transmit(Node* sender, Ipv4Address next_hop, Packet&& packet) {
     Mangle(packet, extra_hold, duplicate);
   }
 
+  // The duplicate reserves its id first, so it keeps its place ahead of the
+  // original at equal delivery times.
+  const int64_t now = network_->now().micros();
+  const int64_t at = std::max(now, now + delay.micros());
+  const auto target_index = static_cast<uint32_t>(target - attachments_.data());
   if (duplicate) {
-    const uint32_t dup_slot = AcquireSlot();
-    PendingDelivery& dup = deliveries_[dup_slot];
-    dup.node = target->node;
-    dup.iface = target->iface;
-    dup.packet = packet;  // copy; the original is parked below
-    network_->event_loop().ScheduleAfter(delay, [this, dup_slot] { Deliver(dup_slot); });
+    Enqueue(at, target_index, Packet(packet));
   }
+  Enqueue(at + extra_hold.micros(), target_index, std::move(packet));
+}
 
+void Lan::Enqueue(int64_t time, uint32_t target, Packet&& packet) {
+  EventLoop& loop = network_->event_loop();
   const uint32_t slot = AcquireSlot();
-  PendingDelivery& pending = deliveries_[slot];
-  pending.node = target->node;
-  pending.iface = target->iface;
-  pending.packet = std::move(packet);
-  network_->event_loop().ScheduleAfter(delay + extra_hold, [this, slot] { Deliver(slot); });
+  PendingDelivery& d = delivery(slot);
+  d.time = time;
+  d.id = loop.ReserveEvent(this);
+  d.target = target;
+  d.armed = false;
+  d.packet = std::move(packet);
+  // The new id is the largest issued so far, so the packet goes after every
+  // delivery due at or before `time`. With constant latency that is the
+  // tail; jitter, a reorder hold, or a latency drop walks back a few links.
+  uint32_t after = tail_;
+  while (after != kNoSlot && delivery(after).time > time) {
+    after = delivery(after).prev;
+  }
+  d.prev = after;
+  d.next = after == kNoSlot ? head_ : delivery(after).next;
+  if (d.next == kNoSlot) {
+    tail_ = slot;
+  } else {
+    delivery(d.next).prev = slot;
+  }
+  if (after != kNoSlot) {
+    delivery(after).next = slot;
+    return;
+  }
+  // A new head: arm it. The old head stays armed; it pops after this one.
+  head_ = slot;
+  d.armed = true;
+  loop.ArmReserved(SimTime(time), d.id);
 }
 
 uint32_t Lan::AcquireSlot() {
-  if (!free_slots_.empty()) {
-    const uint32_t slot = free_slots_.back();
-    free_slots_.pop_back();
+  if (free_ != kNoSlot) {
+    const uint32_t slot = free_;
+    free_ = delivery(slot).next;
     return slot;
   }
-  const uint32_t slot = static_cast<uint32_t>(deliveries_.size());
-  deliveries_.emplace_back();
-  return slot;
+  if (slot_count_ == kFirstChunk * ((1u << deliveries_.size()) - 1)) {
+    const size_t slots = size_t{kFirstChunk} << deliveries_.size();
+    std::unique_ptr<PendingDelivery[], ChunkDeleter> chunk(
+        static_cast<PendingDelivery*>(::operator new(slots * sizeof(PendingDelivery))));
+    deliveries_.push_back(std::move(chunk));
+  }
+  std::construct_at(&delivery(slot_count_));
+  return slot_count_++;
+}
+
+void Lan::ReleaseSlot(uint32_t slot) {
+  delivery(slot).next = free_;
+  free_ = slot;
 }
 
 void Lan::Mangle(Packet& packet, SimDuration& extra, bool& duplicate) {
@@ -183,16 +232,44 @@ void Lan::Mangle(Packet& packet, SimDuration& extra, bool& duplicate) {
   }
 }
 
-void Lan::Deliver(uint32_t slot) {
-  // Move everything out and release the slot first: HandlePacket may
-  // re-enter Transmit on this same Lan.
-  Node* const node = deliveries_[slot].node;
-  const int iface = deliveries_[slot].iface;
-  Packet packet = std::move(deliveries_[slot].packet);
-  deliveries_[slot].node = nullptr;
-  free_slots_.push_back(slot);
+void Lan::FireReserved() {
+  // The loop dispatched the head's key. Unlink it and arm its successor
+  // under the id that one reserved at transmit time (unless it was armed
+  // when it became a head on insertion); then move everything out and
+  // release the slot before delivering: HandlePacket may re-enter Transmit
+  // on this same Lan.
+  const uint32_t slot = head_;
+  PendingDelivery& d = delivery(slot);
+  head_ = d.next;
+  if (head_ == kNoSlot) {
+    tail_ = kNoSlot;
+  } else {
+    PendingDelivery& next = delivery(head_);
+    next.prev = kNoSlot;
+    if (!next.armed) {
+      next.armed = true;
+      network_->event_loop().ArmReserved(SimTime(next.time), next.id);
+    }
+  }
+  const Attachment& to = attachments_[d.target];
+  Node* const node = to.node;
+  const int iface = to.iface;
+  Packet packet = std::move(d.packet);
+  ReleaseSlot(slot);
   network_->trace().Record(network_->now(), node->trace_id(), TraceEvent::kDeliver, packet);
   node->HandlePacket(iface, std::move(packet));
+}
+
+void Lan::DropReserved() {
+  // The loop was Reset and forgot every reserved id: free the whole list.
+  // Later calls for the same Lan find it empty.
+  while (head_ != kNoSlot) {
+    const uint32_t slot = head_;
+    head_ = delivery(slot).next;
+    delivery(slot).packet = Packet{};
+    ReleaseSlot(slot);
+  }
+  tail_ = kNoSlot;
 }
 
 }  // namespace natpunch

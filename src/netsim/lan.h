@@ -9,11 +9,14 @@
 #ifndef SRC_NETSIM_LAN_H_
 #define SRC_NETSIM_LAN_H_
 
+#include <bit>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "src/netsim/address.h"
+#include "src/netsim/event_loop.h"
 #include "src/netsim/packet.h"
 #include "src/netsim/sim_time.h"
 #include "src/netsim/trace.h"
@@ -70,9 +73,17 @@ struct LanConfig {
   bool is_global = false;  // the public Internet realm
 };
 
-class Lan {
+// In-flight packets wait in one list per Lan, sorted by (delivery time,
+// event id) and threaded through a pool of slots; only the list head is
+// armed in the event loop's heap (see event_loop.h, "Reserved events"). With
+// constant latency every new packet lands on the tail in O(1), and the heap
+// holds one key per busy Lan instead of one per packet in flight, so its
+// pushes and pops stay shallow.
+class Lan final : private EventLoop::ReservedOwner {
  public:
   Lan(Network* network, std::string name, LanConfig config);
+  // Cancels every delivery still in flight.
+  ~Lan();
 
   Lan(const Lan&) = delete;
   Lan& operator=(const Lan&) = delete;
@@ -110,23 +121,43 @@ class Lan {
     Ipv4Address ip;
   };
 
-  // An in-flight delivery parked in a pooled slot so the scheduled callback
-  // only captures {this, slot} — small and trivially copyable, so
-  // std::function keeps it in its small-buffer storage instead of heap-
-  // allocating a closure (with the Packet inside it) for every packet.
+  static constexpr uint32_t kNoSlot = UINT32_MAX;
+
+  // An in-flight delivery parked in a pooled slot. Its event id is reserved
+  // at transmit time, so it keeps the (time, sequence) key a scheduled
+  // closure would have had.
   struct PendingDelivery {
-    Node* node = nullptr;
-    int iface = 0;
+    int64_t time = 0;           // delivery time, micros
+    EventLoop::EventId id = 0;  // reserved by Transmit
+    uint32_t prev = kNoSlot;    // in-flight list links; `next` also
+    uint32_t next = kNoSlot;    // threads the free list
+    uint32_t target = 0;        // index into attachments_
+    bool armed = false;         // (time, id) key pushed into the heap
     Packet packet;
   };
+  static_assert(sizeof(PendingDelivery) <= 168,
+                "in-flight delivery footprint budget; see DESIGN.md Memory footprint");
 
-  void Deliver(uint32_t slot);
+  // EventLoop::ReservedOwner: the armed head is due / the loop was Reset.
+  void FireReserved() override;
+  void DropReserved() override;
+
+  // Reserve an event id for `packet` and insert it into the in-flight list
+  // at its (time, id) position, arming it if it becomes the head.
+  void Enqueue(int64_t time, uint32_t target, Packet&& packet);
   // Applies the MangleConfig to a packet that survived the loss models.
   // Mutates the payload in place (corrupt/truncate) and reports via `extra`
   // how long a reordered packet is held past its computed delay and via
   // `duplicate` whether a second copy must be scheduled.
   void Mangle(Packet& packet, SimDuration& extra, bool& duplicate);
   uint32_t AcquireSlot();
+  void ReleaseSlot(uint32_t slot);
+  // Chunk k holds kFirstChunk << k slots and starts at slot
+  // kFirstChunk * (2^k - 1).
+  PendingDelivery& delivery(uint32_t slot) {
+    const int k = std::bit_width((slot / kFirstChunk) + 1) - 1;
+    return deliveries_[k][slot + kFirstChunk - (kFirstChunk << k)];
+  }
 
   Network* network_;
   std::string name_;
@@ -138,8 +169,21 @@ class Lan {
   SimTime medium_free_at_;  // when the shared medium finishes its last frame
   uint64_t packets_ = 0;
   uint64_t bytes_ = 0;
-  std::vector<PendingDelivery> deliveries_;
-  std::vector<uint32_t> free_slots_;
+  // The slot pool: chunks that double in size and never move, each slot
+  // constructed when the pool first reaches it. A flat vector would copy
+  // itself and free the old block as it grows; at swarm scale that block is
+  // megabytes, and freeing it moves glibc's mmap threshold, which made peak
+  // RSS differ by 5% between identical runs. A small first chunk keeps the
+  // many short-lived Lans of fleet and punch runs in small allocations.
+  static constexpr uint32_t kFirstChunk = 16;
+  struct ChunkDeleter {
+    void operator()(PendingDelivery* chunk) const { ::operator delete(chunk); }
+  };
+  std::vector<std::unique_ptr<PendingDelivery[], ChunkDeleter>> deliveries_;
+  uint32_t slot_count_ = 0;  // slots constructed so far
+  uint32_t head_ = kNoSlot;  // earliest in-flight delivery
+  uint32_t tail_ = kNoSlot;  // latest in-flight delivery
+  uint32_t free_ = kNoSlot;  // free-slot list
   // Null when the Network has no metrics registry (obs::Inc is null-safe).
   obs::Counter* metric_corrupted_ = nullptr;
   obs::Counter* metric_duplicated_ = nullptr;

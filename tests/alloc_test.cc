@@ -17,6 +17,7 @@
 
 #include "src/core/udp_puncher.h"
 #include "src/nat/nat_table.h"
+#include "src/netsim/fault.h"
 #include "src/obs/metrics.h"
 #include "src/rendezvous/client.h"
 #include "src/rendezvous/server.h"
@@ -165,6 +166,52 @@ TEST(ZeroAllocTest, SteadyStatePunchedExchangeAllocatesNothing) {
   // ...metrics really were recording (dispatch counter moved)...
   EXPECT_GT(dispatched->value(), dispatched_before + static_cast<uint64_t>(kRounds));
   // ...and not one byte came off the heap.
+  EXPECT_EQ(g_allocs.load(), 0u) << DescribeSamples();
+}
+
+TEST(ZeroAllocTest, SteadyStateWithScriptedFaultPendingAllocatesNothing) {
+  // A scripted fault parked a minute out must not pin the event loop's
+  // closure ring. If it held a ring slot, the live sequence window could
+  // never compact past it, and the steady-state exchange below would keep
+  // doubling the ring.
+  auto topo = MakeFig5(NatConfig{}, NatConfig{});
+  Network& net = topo.scenario->net();
+  auto sa = topo.a->udp().Bind(4321);
+  auto sb = topo.b->udp().Bind(4321);
+  ASSERT_TRUE(sa.ok());
+  ASSERT_TRUE(sb.ok());
+  size_t a_bytes = 0;
+  size_t b_bytes = 0;
+  (*sa)->SetReceiveCallback([&](const Endpoint&, const Payload& p) { a_bytes += p.size(); });
+  (*sb)->SetReceiveCallback([&](const Endpoint&, const Payload& p) { b_bytes += p.size(); });
+  const Endpoint a_pub(NatAIp(), 62000);
+  const Endpoint b_pub(NatBIp(), 62000);
+  const uint8_t msg[16] = {};
+  const auto exchange = [&](int rounds) {
+    for (int i = 0; i < rounds; ++i) {
+      (*sa)->SendTo(b_pub, msg, sizeof(msg));
+      (*sb)->SendTo(a_pub, msg, sizeof(msg));
+      net.RunFor(Millis(100));
+    }
+  };
+  exchange(120);  // punch + warm-up to high water
+  ASSERT_GT(a_bytes, 0u) << "punch failed: A never heard from B";
+  ASSERT_GT(b_bytes, 0u) << "punch failed: B never heard from A";
+
+  FaultScheduler faults(&net);
+  bool fault_fired = false;
+  faults.At(net.now() + Seconds(60), "far-off fault", [&fault_fired] { fault_fired = true; });
+
+  constexpr int kRounds = 300;  // 30 s of simulated time
+  const size_t a_before = a_bytes;
+  g_allocs.store(0);
+  g_samples.store(0);
+  g_counting.store(true);
+  exchange(kRounds);
+  g_counting.store(false);
+
+  EXPECT_EQ(a_bytes - a_before, static_cast<size_t>(kRounds) * sizeof(msg));
+  EXPECT_FALSE(fault_fired);
   EXPECT_EQ(g_allocs.load(), 0u) << DescribeSamples();
 }
 

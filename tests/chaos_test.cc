@@ -117,6 +117,30 @@ ChaosOutcome RunChaosSoak(uint64_t seed) {
   return out;
 }
 
+// Faults are intrusive timers owned by their scheduler: destroying it with
+// faults still pending disarms them all, and none of them runs later.
+TEST(ChaosLifetimeTest, DestroyedSchedulerLeavesNothingArmed) {
+  Network net(1);
+  Lan* lan = net.CreateLan("lan", LanConfig{.latency = Millis(5)});
+  bool custom_fired = false;
+  {
+    FaultScheduler faults(&net);
+    faults.LinkDown(At(1), lan, Seconds(2));  // down + up
+    faults.LatencySpike(At(5), lan, Millis(100), Seconds(1));
+    faults.At(At(60), "custom", [&custom_fired] { custom_fired = true; });
+    EXPECT_EQ(net.event_loop().pending_count(), 4u);
+    net.RunFor(Millis(5500));  // link down/up ran; the spike is on, its restore pending
+    EXPECT_EQ(faults.faults_executed(), 3u);
+    EXPECT_EQ(lan->config().latency.micros(), Millis(105).micros());
+    EXPECT_EQ(net.event_loop().pending_count(), 2u);
+  }
+  EXPECT_TRUE(net.event_loop().idle());
+  net.RunFor(Seconds(120));
+  EXPECT_FALSE(custom_fired);
+  EXPECT_TRUE(lan->up());
+  EXPECT_EQ(lan->config().latency.micros(), Millis(105).micros());  // restore never ran
+}
+
 TEST(ChaosDeterminismTest, SameSeedSamePlanBitIdenticalTraceAndOutcome) {
   ChaosOutcome first = RunChaosSoak(77);
   ChaosOutcome second = RunChaosSoak(77);

@@ -4,7 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <map>
+#include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -440,6 +443,267 @@ TEST(LanTest, InfiniteBandwidthDeliversConcurrently) {
   }
   net.RunFor(Millis(1));
   EXPECT_EQ(b->received.size(), 10u);  // all arrive after one latency
+}
+
+// One fired event: its schedule order and the clock when it ran.
+struct Fired {
+  uint64_t order;
+  int64_t time;
+};
+
+// Logs every delivery by the schedule order its transmit was given (the
+// packet id carries it). A duplicated packet holds two orders, id and id+1,
+// the copy's first; the copy is never due after the original, so it arrives
+// first. `dups` maps a duplicated id to the number of its copies delivered.
+class OrderSink : public Node {
+ public:
+  OrderSink(Network* net, std::string name, std::vector<Fired>* log,
+            std::map<uint64_t, int>* dups)
+      : Node(net, std::move(name)), net_(net), log_(log), dups_(dups) {}
+  void HandlePacket(int iface, Packet&& packet) override {
+    (void)iface;
+    uint64_t order = packet.id;
+    if (const auto it = dups_->find(packet.id); it != dups_->end()) {
+      order += static_cast<uint64_t>(it->second++);
+      if (it->second == 2) {
+        dups_->erase(it);
+      }
+    }
+    log_->push_back(Fired{order, net_->now().micros()});
+  }
+
+ private:
+  Network* net_;
+  std::vector<Fired>* log_;
+  std::map<uint64_t, int>* dups_;
+};
+
+struct TimerBox {
+  TimerHandle handle;
+  uint64_t order = 0;
+  std::vector<Fired>* log = nullptr;
+  EventLoop* loop = nullptr;
+  void Fire() { log->push_back(Fired{order, loop->now().micros()}); }
+};
+
+// The Lan twin of RandomizedAgainstMapModel: seeded transmits over three
+// Lans (jitter; MangleConfig reorder + duplicate; latency changes, drops
+// included, mid-run) interleaved with closures and timers due at the same
+// instants, closure cancels, and runs. Every event takes a schedule order
+// from one counter, in the order the loop issues sequence numbers. Each
+// event must fire inside its delivery-time bounds (exact except under
+// jitter), pending_count() must match the model at every step, and the
+// fired sequence must equal a std::map keyed by (delivery time, schedule
+// order).
+TEST(LanTest, RandomizedDeliveriesAgainstMapModel) {
+  Network net(20050410);
+  net.trace().set_enabled(true);  // reorder holds and duplicates are read back from the trace
+  EventLoop& loop = net.event_loop();
+  LanConfig hostile{.latency = Millis(2)};
+  hostile.mangle.duplicate = 0.2;
+  hostile.mangle.reorder = 0.3;
+  hostile.mangle.reorder_hold = Micros(600);
+  Lan* lans[3] = {
+      net.CreateLan("jitter", LanConfig{.latency = Millis(3), .jitter = Micros(40)}),
+      net.CreateLan("hostile", hostile),
+      net.CreateLan("plain", LanConfig{.latency = Millis(4)}),
+  };
+  std::vector<Fired> fired;
+  std::map<uint64_t, int> dups;
+  Node* senders[3] = {};
+  Ipv4Address sinks[3] = {};
+  for (int i = 0; i < 3; ++i) {
+    senders[i] = net.Create<SinkNode>("tx" + std::to_string(i));
+    senders[i]->AttachTo(lans[i], Ipv4Address::FromOctets(10, 0, static_cast<uint8_t>(i), 1));
+    sinks[i] = Ipv4Address::FromOctets(10, 0, static_cast<uint8_t>(i), 2);
+    net.Create<OrderSink>("rx" + std::to_string(i), &fired, &dups)->AttachTo(lans[i], sinks[i]);
+  }
+  TimerBox timers[6];
+  for (TimerBox& t : timers) {
+    t.handle.Bind<&TimerBox::Fire>(&t);
+    t.log = &fired;
+    t.loop = &loop;
+  }
+
+  struct Bounds {
+    int64_t lo;
+    int64_t hi;
+  };
+  std::map<uint64_t, Bounds> pending;  // by schedule order
+  std::map<uint64_t, Bounds> all;
+  std::vector<std::pair<EventLoop::EventId, uint64_t>> closures;  // (loop id, order)
+  uint64_t next_order = 1;
+  const auto expect = [&](uint64_t order, int64_t lo, int64_t hi) {
+    pending[order] = Bounds{lo, hi};
+    all[order] = Bounds{lo, hi};
+  };
+  uint64_t rng = 99;
+  auto next = [&rng](uint64_t bound) {
+    rng = rng * 6364136223846793005ULL + 1442695040888963407ULL;
+    return (rng >> 33) % bound;
+  };
+  const SimDuration latencies[] = {Micros(500), Millis(1), Millis(3), Millis(6)};
+  // A time that ties with deliveries already in flight on some Lan.
+  const auto tie_time = [&] {
+    return loop.now().micros() + lans[next(3)]->config().latency.micros() +
+           static_cast<int64_t>(next(3));
+  };
+
+  for (int step = 0; step < 20000; ++step) {
+    const uint64_t op = next(20);
+    if (op < 7) {
+      const int i = static_cast<int>(next(3));
+      const LanConfig& cfg = lans[i]->config();
+      const size_t records_before = net.trace().records().size();
+      Packet p;
+      p.set_dst(Endpoint(sinks[i], 9));
+      const uint64_t order = next_order;
+      p.id = order;
+      const int64_t now = loop.now().micros();
+      const int64_t at = now + cfg.latency.micros();
+      lans[i]->Transmit(senders[i], sinks[i], std::move(p));
+      bool duplicated = false;
+      int64_t hold = 0;
+      for (size_t r = records_before; r < net.trace().records().size(); ++r) {
+        const TraceRecord& rec = net.trace().records()[r];
+        if (rec.event == TraceEvent::kDuplicate) {
+          duplicated = true;
+        } else if (rec.event == TraceEvent::kReorder) {
+          hold = std::stoll(std::string(rec.detail.view().substr(std::strlen("hold_us="))));
+        }
+      }
+      if (duplicated) {
+        expect(next_order++, at, at + cfg.jitter.micros());
+        dups[order] = 0;
+      }
+      expect(next_order++, at + hold, at + hold + cfg.jitter.micros());
+    } else if (op < 10) {
+      const int64_t at = tie_time();
+      const uint64_t order = next_order++;
+      const auto id = loop.ScheduleAt(SimTime(at), [&fired, &loop, order] {
+        fired.push_back(Fired{order, loop.now().micros()});
+      });
+      closures.emplace_back(id, order);
+      expect(order, at, at);
+    } else if (op < 12) {
+      TimerBox& t = timers[next(6)];
+      if (t.handle.pending()) {
+        pending.erase(t.order);
+        all.erase(t.order);
+      }
+      const int64_t at = tie_time();
+      t.order = next_order++;
+      loop.ScheduleTimerAt(SimTime(at), &t.handle);
+      expect(t.order, at, at);
+    } else if (op < 13) {
+      if (!closures.empty()) {
+        const auto& [id, order] = closures[next(closures.size())];
+        const bool was_pending = pending.count(order) != 0;
+        EXPECT_EQ(loop.Cancel(id), was_pending);
+        if (was_pending) {
+          pending.erase(order);
+          all.erase(order);
+        }
+      }
+    } else if (op < 14) {
+      Lan* lan = lans[next(3)];
+      LanConfig cfg = lan->config();
+      cfg.latency = latencies[next(4)];
+      lan->set_config(cfg);
+    } else if (op < 17) {
+      const size_t before = fired.size();
+      EXPECT_EQ(loop.RunOne(), !pending.empty());
+      for (size_t f = before; f < fired.size(); ++f) {
+        pending.erase(fired[f].order);
+      }
+    } else {
+      const size_t before = fired.size();
+      loop.RunFor(Micros(static_cast<int64_t>(next(3000))));
+      for (size_t f = before; f < fired.size(); ++f) {
+        pending.erase(fired[f].order);
+      }
+    }
+    ASSERT_EQ(loop.pending_count(), pending.size()) << "diverged at step " << step;
+  }
+  loop.RunUntilIdle();
+  EXPECT_TRUE(loop.idle());
+  EXPECT_TRUE(dups.empty());
+
+  // Every scheduled, uncancelled event fired once, inside its bounds...
+  ASSERT_EQ(fired.size(), all.size());
+  std::map<std::pair<int64_t, uint64_t>, size_t> model;  // (time, order) -> dispatch position
+  for (size_t pos = 0; pos < fired.size(); ++pos) {
+    const Fired& f = fired[pos];
+    const auto it = all.find(f.order);
+    ASSERT_NE(it, all.end()) << "unexpected event " << f.order;
+    EXPECT_GE(f.time, it->second.lo) << "event " << f.order;
+    EXPECT_LE(f.time, it->second.hi) << "event " << f.order;
+    model[{f.time, f.order}] = pos;
+  }
+  // ...and in (delivery time, schedule order) order.
+  ASSERT_EQ(model.size(), fired.size());
+  size_t expected_pos = 0;
+  for (const auto& [key, pos] : model) {
+    ASSERT_EQ(pos, expected_pos) << "event " << key.second << " fired out of order";
+    ++expected_pos;
+  }
+  // The run exercised every path it is meant to.
+  EXPECT_GT(net.trace().Count(TraceEvent::kDuplicate), 100u);
+  EXPECT_GT(net.trace().Count(TraceEvent::kReorder), 100u);
+}
+
+TEST(LanTest, DestroyedWithDeliveriesInFlightLeavesNothingArmed) {
+  Network net(1);
+  auto lan = std::make_unique<Lan>(&net, "doomed", LanConfig{.latency = Millis(5)});
+  auto* a = net.Create<SinkNode>("a");
+  auto* b = net.Create<SinkNode>("b");
+  a->AttachTo(lan.get(), Ipv4Address::FromOctets(10, 0, 0, 1));
+  b->AttachTo(lan.get(), Ipv4Address::FromOctets(10, 0, 0, 2));
+  bool control_fired = false;
+  net.event_loop().ScheduleAfter(Millis(10), [&] { control_fired = true; });
+  for (int i = 0; i < 3; ++i) {
+    Packet p;
+    p.set_dst(Endpoint(Ipv4Address::FromOctets(10, 0, 0, 2), 9));
+    lan->Transmit(a, Ipv4Address::FromOctets(10, 0, 0, 2), std::move(p));
+    net.RunFor(Millis(1));
+  }
+  EXPECT_EQ(net.event_loop().pending_count(), 4u);
+  lan.reset();  // the armed head and both queued deliveries go with it
+  EXPECT_EQ(net.event_loop().pending_count(), 1u);
+  const uint64_t dispatched = net.event_loop().events_processed();
+  net.RunUntilIdle();
+  EXPECT_TRUE(control_fired);
+  EXPECT_EQ(net.event_loop().events_processed(), dispatched + 1);
+  EXPECT_TRUE(b->received.empty());
+  EXPECT_TRUE(net.event_loop().idle());
+}
+
+TEST(LanTest, LoopResetStrandsNoLaterTransmit) {
+  Network net(1);
+  Lan* lan = net.CreateLan("lan", LanConfig{.latency = Millis(5)});
+  auto* a = net.Create<SinkNode>("a");
+  auto* b = net.Create<SinkNode>("b");
+  a->AttachTo(lan, Ipv4Address::FromOctets(10, 0, 0, 1));
+  b->AttachTo(lan, Ipv4Address::FromOctets(10, 0, 0, 2));
+  const auto send = [&](uint64_t id) {
+    Packet p;
+    p.id = id;
+    p.set_dst(Endpoint(Ipv4Address::FromOctets(10, 0, 0, 2), 9));
+    lan->Transmit(a, Ipv4Address::FromOctets(10, 0, 0, 2), std::move(p));
+  };
+  send(1);
+  send(2);
+  net.event_loop().Reset();  // drops both in-flight deliveries
+  EXPECT_TRUE(net.event_loop().idle());
+  // A later transmit must become the Lan's armed head, not queue behind
+  // deliveries the loop has forgotten.
+  send(3);
+  EXPECT_EQ(net.event_loop().pending_count(), 1u);
+  net.RunUntilIdle();
+  ASSERT_EQ(b->received.size(), 1u);
+  EXPECT_EQ(b->received[0].id, 3u);
+  EXPECT_EQ(net.now().micros(), 5000);
+  EXPECT_TRUE(net.event_loop().idle());
 }
 
 TEST(NodeTest, LongestPrefixMatchWins) {
