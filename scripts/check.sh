@@ -11,11 +11,14 @@
 #                                    # re-run them (guards RunFleetParallel
 #                                    # against data races)
 #   NATPUNCH_ASAN=1 scripts/check.sh # ...then rebuild the chaos/failure,
-#                                    # event-loop/Lan and timer-wheel tests
-#                                    # under -fsanitize=address,undefined and
-#                                    # re-run them (fault injection, session
-#                                    # teardown, and in-flight packets outliving
-#                                    # their Lan are where lifetime bugs hide)
+#                                    # event-loop/Lan, timer-wheel, slab and
+#                                    # TCP tests under
+#                                    # -fsanitize=address,undefined and re-run
+#                                    # them (fault injection, session teardown,
+#                                    # in-flight packets outliving their Lan,
+#                                    # slab slots carved from raw chunks and
+#                                    # the TCP send buffer's consumed prefix
+#                                    # are where lifetime bugs hide)
 #
 # The compiler comes from the standard CC/CXX environment variables (CMake
 # picks them up on a fresh configure); use a distinct BUILD_DIR per compiler
@@ -84,7 +87,7 @@ if [[ "${NATPUNCH_TSAN:-0}" == "1" ]]; then
 fi
 
 if [[ "${NATPUNCH_ASAN:-0}" == "1" ]]; then
-  echo "==== ASan/UBSan pass: rebuilding chaos/failure/netsim/wheel tests with -fsanitize=address,undefined ===="
-  sanitizer_pass "$ASAN_BUILD_DIR" address,undefined 'Chaos|Failure|EventLoop|Lan|TimerWheel' \
-    chaos_test failure_test netsim_test timer_wheel_test
+  echo "==== ASan/UBSan pass: rebuilding chaos/failure/netsim/wheel/slab/tcp tests with -fsanitize=address,undefined ===="
+  sanitizer_pass "$ASAN_BUILD_DIR" address,undefined 'Chaos|Failure|EventLoop|Lan|TimerWheel|Slab|Tcp' \
+    chaos_test failure_test netsim_test timer_wheel_test slab_test tcp_test
 fi

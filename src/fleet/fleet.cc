@@ -206,11 +206,8 @@ std::vector<DeviceSpec> BuildFleet(const std::vector<VendorProfile>& vendors, ui
   return fleet;
 }
 
-namespace {
-
-// Run the NAT Check reproduction for one device inside a reused Scenario
-// arena. Scenario::Reset(seed) leaves the simulation state bit-identical to
-// a freshly constructed Scenario, so a worker can burn through thousands of
+// Scenario::Reset(seed) leaves the simulation state bit-identical to a
+// freshly constructed Scenario, so a worker can burn through thousands of
 // devices on one Network/EventLoop without re-paying the allocation storm;
 // the events_processed() counter restarts at zero on Reset, which is what
 // makes the per-device event count exact.
@@ -261,8 +258,6 @@ NatCheckReport RunNatCheckIn(Scenario& scenario, const DeviceSpec& device, uint6
   report.nat_expired_mappings = site.nat->stats().expired_mappings;
   return report;
 }
-
-}  // namespace
 
 NatCheckReport RunNatCheckOn(const DeviceSpec& device, uint64_t seed, uint64_t* events) {
   Scenario scenario;

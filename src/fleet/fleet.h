@@ -29,6 +29,8 @@
 
 namespace natpunch {
 
+class Scenario;
+
 struct VendorProfile {
   std::string name;
   // "yes/n" pairs straight out of Table 1.
@@ -68,6 +70,13 @@ std::vector<DeviceSpec> BuildFleet(const std::vector<VendorProfile>& vendors, ui
 // servers in the global realm. When `events` is non-null, the number of
 // simulator events the run processed is added to it.
 NatCheckReport RunNatCheckOn(const DeviceSpec& device, uint64_t seed,
+                             uint64_t* events = nullptr);
+
+// The same run inside a caller-owned arena: `scenario` is Reset to `seed`
+// first, which leaves it bit-identical to a fresh one, so the report equals
+// RunNatCheckOn's while the arena's warmed-up capacities are reused. This is
+// what RunFleet does for every device.
+NatCheckReport RunNatCheckIn(Scenario& scenario, const DeviceSpec& device, uint64_t seed,
                              uint64_t* events = nullptr);
 
 // Why reports failed the §6.2 classification — the taxonomy behind each

@@ -35,6 +35,14 @@ NatTable::NatTable(NatMapping mapping, NatPortAllocation allocation, uint16_t po
       next_port_tcp_(port_base),
       rng_(rng) {}
 
+NatTable::~NatTable() {
+  while (arena_ != nullptr) {
+    Entry* next = arena_->arena_next;
+    delete arena_;
+    arena_ = next;
+  }
+}
+
 NatMapping NatTable::EffectiveMapping(IpProtocol protocol, const Endpoint& private_ep) const {
   if (symmetric_on_contention_) {
     const PortUsers* users = port_users_.Find(PortKey{protocol, private_ep.port});
@@ -104,8 +112,10 @@ NatTable::Entry* NatTable::AcquireEntry() {
     entry->free_next = nullptr;
     return entry;
   }
-  arena_.push_back(std::make_unique<Entry>());
-  return arena_.back().get();
+  Entry* entry = new Entry;
+  entry->arena_next = arena_;
+  arena_ = entry;
+  return entry;
 }
 
 void NatTable::ReleaseEntry(Entry* entry) {

@@ -32,6 +32,7 @@
 #include "src/netsim/packet.h"
 #include "src/netsim/sim_time.h"
 #include "src/util/flat_hash.h"
+#include "src/util/inline_vector.h"
 #include "src/util/rng.h"
 
 namespace natpunch {
@@ -76,7 +77,8 @@ class NatTable {
       Endpoint remote;
       SimTime last;
     };
-    std::vector<Session> sessions;
+    // Room for two sessions inline (a mapping's usual one or two peers).
+    InlineVector<Session, 2> sessions;
 
     // TCP lifetime tracking (§4: "the TCP state machine gives NATs a
     // standard way to determine the precise lifetime of a session").
@@ -111,10 +113,15 @@ class NatTable {
     Entry* chain_prev = nullptr;    // per-(protocol, private_ep) chain
     Entry* chain_next = nullptr;
     Entry* free_next = nullptr;     // entry pool free list
+    Entry* arena_next = nullptr;    // every entry the table created
   };
 
   NatTable(NatMapping mapping, NatPortAllocation allocation, uint16_t port_base, Rng rng,
            bool symmetric_on_contention = false);
+  ~NatTable();
+
+  NatTable(const NatTable&) = delete;
+  NatTable& operator=(const NatTable&) = delete;
 
   // Outbound: find or create the mapping for (private_ep -> remote),
   // refresh it, and record the remote for filtering. Returns nullptr only
@@ -276,9 +283,9 @@ class NatTable {
 
   List lists_[kClassCount];
 
-  // Entry pool: arena of all entries ever created plus an intrusive free
-  // list. Recycled entries keep their sessions vector capacity.
-  std::vector<std::unique_ptr<Entry>> arena_;
+  // Entry pool: every entry ever created, chained through arena_next, plus
+  // an intrusive free list. Recycled entries keep their sessions capacity.
+  Entry* arena_ = nullptr;
   Entry* free_list_ = nullptr;
 
   uint64_t generation_ = 0;

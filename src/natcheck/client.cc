@@ -97,7 +97,7 @@ void NatCheckClient::SendUdpPing(int server_index) {
   ping.type = NcMsgType::kUdpPing;
   ping.session = session_;
   udp_socket_->SendTo(server_index == 1 ? servers_.udp1 : servers_.udp2,
-                      EncodeNcMessage(ping));
+                      EncodeNcMessagePayload(ping));
   ++udp_attempts_;
   udp_timer_ = host_->loop().ScheduleAfter(config_.udp_reply_timeout, [this, server_index] {
     udp_timer_ = EventLoop::kInvalidEventId;
@@ -190,7 +190,7 @@ void NatCheckClient::StartUdpHairpin() {
   // §6.1.1: aim at the public endpoint of the primary socket as reported by
   // server 2. Note the deliberately one-way test — §6.3 discusses why this
   // can be pessimistic on hairpin-filtering NATs.
-  udp_hairpin_socket_->SendTo(report_.udp_public_2, EncodeNcMessage(probe));
+  udp_hairpin_socket_->SendTo(report_.udp_public_2, EncodeNcMessagePayload(probe));
   host_->loop().ScheduleAfter(config_.hairpin_wait, [this] {
     udp_hairpin_socket_->Close();
     if (config_.test_tcp) {
@@ -216,19 +216,19 @@ void NatCheckClient::StartTcpPhase() {
         report_.tcp_unsolicited_passed = true;
       }
       socket->SetDataCallback([this, conn](const Bytes& data) {
-        for (const Bytes& body : conn->framer.Append(data)) {
+        conn->framer.Append(data, [this, conn](ConstByteSpan body) {
           auto msg = DecodeNcMessage(body);
           if (!msg) {
             host_->CountMalformedDrop();
-            continue;
+            return;
           }
           if (msg->type == NcMsgType::kTcpHairpinHello) {
             NcMessage reply;
             reply.type = NcMsgType::kTcpHairpinReply;
             reply.session = msg->session;
-            conn->socket->Send(MessageFramer::Frame(EncodeNcMessage(reply)));
+            conn->socket->Send(MessageFramer::Frame(EncodeNcMessagePayload(reply)));
           }
-        }
+        });
       });
     });
   }
@@ -246,18 +246,17 @@ void NatCheckClient::TcpHelloTo(int server_index) {
   socket->SetReuseAddr(true);
   Status status = socket->Bind(local_port_);
   if (status.ok()) {
-    socket->SetDataCallback([this, socket, slot](const Bytes& data) {
-      for (const Bytes& body : tcp_framer_[slot].Append(data)) {
+    socket->SetDataCallback([this, slot](const Bytes& data) {
+      tcp_framer_[slot].Append(data, [this](ConstByteSpan body) {
         auto msg = DecodeNcMessage(body);
         if (!msg) {
           host_->CountMalformedDrop();
-          continue;
+          return;
         }
         if (msg->type == NcMsgType::kTcpReply) {
           OnTcpReply(*msg);
         }
-      }
-      (void)socket;
+      });
     });
     const Endpoint target = server_index == 1 ? servers_.tcp1 : servers_.tcp2;
     status = socket->Connect(target, [this, socket](Status result) {
@@ -270,7 +269,7 @@ void NatCheckClient::TcpHelloTo(int server_index) {
       NcMessage hello;
       hello.type = NcMsgType::kTcpHello;
       hello.session = session_;
-      socket->Send(MessageFramer::Frame(EncodeNcMessage(hello)));
+      socket->Send(MessageFramer::Frame(EncodeNcMessagePayload(hello)));
     });
   }
   if (!status.ok()) {
@@ -346,18 +345,18 @@ void NatCheckClient::StartTcpHairpin() {
   tcp_hairpin_socket_ = host_->tcp().CreateSocket();
   TcpSocket* socket = tcp_hairpin_socket_;
   socket->SetDataCallback([this, socket](const Bytes& data) {
-    for (const Bytes& body : tcp_hairpin_framer_.Append(data)) {
+    tcp_hairpin_framer_.Append(data, [this, socket](ConstByteSpan body) {
       auto msg = DecodeNcMessage(body);
       if (!msg) {
         host_->CountMalformedDrop();
-        continue;
+        return;
       }
       if (msg->type == NcMsgType::kTcpHairpinReply) {
         report_.tcp_hairpin = true;
         socket->Close();
         Finish();
       }
-    }
+    });
   });
   Status status = socket->Connect(report_.tcp_public_2, [this, socket](Status result) {
     if (!result.ok()) {
@@ -367,7 +366,7 @@ void NatCheckClient::StartTcpHairpin() {
     NcMessage hello;
     hello.type = NcMsgType::kTcpHairpinHello;
     hello.session = session_;
-    socket->Send(MessageFramer::Frame(EncodeNcMessage(hello)));
+    socket->Send(MessageFramer::Frame(EncodeNcMessagePayload(hello)));
   });
   if (!status.ok()) {
     Finish();

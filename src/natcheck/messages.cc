@@ -5,6 +5,29 @@ namespace {
 constexpr uint8_t kMagic = 0x4e;  // 'N'
 }  // namespace
 
+Payload EncodeNcMessagePayload(const NcMessage& msg) {
+  // EncodeNcMessage's fixed 18-byte layout, stored in place: magic(1)
+  // type(1) session(8) server_index(1) ip(4) port(2) verdict(1), big-endian.
+  Payload out;
+  out.resize(18);
+  uint8_t* p = out.data();
+  p[0] = kMagic;
+  p[1] = static_cast<uint8_t>(msg.type);
+  for (int i = 0; i < 8; ++i) {
+    p[2 + i] = static_cast<uint8_t>(msg.session >> (56 - 8 * i));
+  }
+  p[10] = msg.server_index;
+  // NOTE: plain, unobfuscated address bytes — see header comment.
+  const uint32_t ip = msg.observed.ip.bits();
+  for (int i = 0; i < 4; ++i) {
+    p[11 + i] = static_cast<uint8_t>(ip >> (24 - 8 * i));
+  }
+  p[15] = static_cast<uint8_t>(msg.observed.port >> 8);
+  p[16] = static_cast<uint8_t>(msg.observed.port);
+  p[17] = static_cast<uint8_t>(msg.verdict);
+  return out;
+}
+
 Bytes EncodeNcMessage(const NcMessage& msg) {
   ByteWriter w;
   w.Reserve(18);  // fixed wire size: magic..verdict below

@@ -18,6 +18,7 @@
 #include <optional>
 
 #include "src/netsim/address.h"
+#include "src/netsim/payload.h"
 #include "src/util/bytes.h"
 
 namespace natpunch {
@@ -52,6 +53,9 @@ struct NcMessage {
 };
 
 Bytes EncodeNcMessage(const NcMessage& msg);
+// Byte-identical to EncodeNcMessage, built straight into a packet payload's
+// inline buffer (no heap allocation): the form every send path uses.
+Payload EncodeNcMessagePayload(const NcMessage& msg);
 std::optional<NcMessage> DecodeNcMessage(ConstByteSpan data);
 
 }  // namespace natpunch

@@ -80,7 +80,7 @@ void MultiClientNatCheck::SendStage(const std::shared_ptr<Probe>& probe) {
   NcMessage ping;
   ping.type = NcMsgType::kUdpPing;
   ping.session = probe->txn;
-  probe->socket->SendTo(probe->stage == 0 ? udp1_ : udp2_, EncodeNcMessage(ping));
+  probe->socket->SendTo(probe->stage == 0 ? udp1_ : udp2_, EncodeNcMessagePayload(ping));
   ++probe->attempts;
   probe->timer = host->loop().ScheduleAfter(config_.reply_timeout, [this, probe, host] {
     probe->timer = EventLoop::kInvalidEventId;

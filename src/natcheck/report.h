@@ -50,6 +50,8 @@ struct NatCheckReport {
   }
 
   std::string ToString() const;
+
+  friend bool operator==(const NatCheckReport&, const NatCheckReport&) = default;
 };
 
 }  // namespace natpunch

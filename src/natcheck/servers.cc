@@ -49,14 +49,14 @@ Status NatCheckServers::Start() {
       conn->socket = accepted;
       conn->server_index = index;
       accepted->SetDataCallback([this, conn](const Bytes& data) {
-        for (const Bytes& body : conn->framer.Append(data)) {
+        conn->framer.Append(data, [this, conn](ConstByteSpan body) {
           auto msg = DecodeNcMessage(body);
           if (!msg) {
             hosts_[conn->server_index - 1]->CountMalformedDrop();
-            continue;
+            return;
           }
           OnTcpMessage(conn, *msg);
-        }
+        });
       });
     });
     if (!status.ok()) {
@@ -80,14 +80,14 @@ void NatCheckServers::OnUdp(int index, const Endpoint& from, const Payload& payl
       pong.session = msg->session;
       pong.server_index = static_cast<uint8_t>(index);
       pong.observed = from;
-      udp_[index - 1]->SendTo(from, EncodeNcMessage(pong));
+      udp_[index - 1]->SendTo(from, EncodeNcMessagePayload(pong));
       if (index == 2) {
         // §6.1.1: server 2 forwards the request to server 3.
         NcMessage forward;
         forward.type = NcMsgType::kUdpForward;
         forward.session = msg->session;
         forward.observed = from;
-        udp_[1]->SendTo(udp_endpoint(3), EncodeNcMessage(forward));
+        udp_[1]->SendTo(udp_endpoint(3), EncodeNcMessagePayload(forward));
       }
       return;
     }
@@ -113,7 +113,7 @@ void NatCheckServers::Server3UdpControl(const NcMessage& msg) {
       probe.session = msg.session;
       probe.server_index = 3;
       probe.observed = msg.observed;
-      udp_[2]->SendTo(msg.observed, EncodeNcMessage(probe));
+      udp_[2]->SendTo(msg.observed, EncodeNcMessagePayload(probe));
       return;
     }
     case NcMsgType::kTcpForward:
@@ -207,7 +207,7 @@ void NatCheckServers::SendVerdict(uint64_t session, NcProbeVerdict verdict) {
   go_ahead.session = session;
   go_ahead.server_index = 3;
   go_ahead.verdict = verdict;
-  udp_[2]->SendTo(udp_endpoint(2), EncodeNcMessage(go_ahead));
+  udp_[2]->SendTo(udp_endpoint(2), EncodeNcMessagePayload(go_ahead));
 }
 
 void NatCheckServers::ReplyTcp(TcpConn* conn, NcProbeVerdict verdict) {
@@ -225,7 +225,7 @@ void NatCheckServers::ReplyTcp(TcpConn* conn, NcProbeVerdict verdict) {
   reply.server_index = static_cast<uint8_t>(conn->server_index);
   reply.observed = conn->socket->remote_endpoint();
   reply.verdict = verdict;
-  conn->socket->Send(MessageFramer::Frame(EncodeNcMessage(reply)));
+  conn->socket->Send(MessageFramer::Frame(EncodeNcMessagePayload(reply)));
 }
 
 void NatCheckServers::OnTcpMessage(TcpConn* conn, const NcMessage& msg) {
@@ -245,7 +245,7 @@ void NatCheckServers::OnTcpMessage(TcpConn* conn, const NcMessage& msg) {
       forward.type = NcMsgType::kTcpForward;
       forward.session = msg.session;
       forward.observed = conn->socket->remote_endpoint();
-      udp_[1]->SendTo(udp_endpoint(3), EncodeNcMessage(forward));
+      udp_[1]->SendTo(udp_endpoint(3), EncodeNcMessagePayload(forward));
       conn->verdict_timer =
           hosts_[1]->loop().ScheduleAfter(config_.verdict_timeout, [this, conn] {
             conn->verdict_timer = EventLoop::kInvalidEventId;
@@ -259,7 +259,7 @@ void NatCheckServers::OnTcpMessage(TcpConn* conn, const NcMessage& msg) {
       reply.type = NcMsgType::kTcpHairpinReply;
       reply.session = msg.session;
       reply.server_index = static_cast<uint8_t>(conn->server_index);
-      conn->socket->Send(MessageFramer::Frame(EncodeNcMessage(reply)));
+      conn->socket->Send(MessageFramer::Frame(EncodeNcMessagePayload(reply)));
       return;
     }
     default:

@@ -99,8 +99,12 @@ void Lan::Transmit(Node* sender, Ipv4Address next_hop, Packet&& packet) {
     const TraceEvent event = (config_.is_global && packet.dst_ip.IsPrivate())
                                  ? TraceEvent::kDropPrivateLeak
                                  : TraceEvent::kDropNoNextHop;
-    network_->trace().Record(network_->now(), trace_id_, event, packet,
-                             Detail("next_hop=", next_hop));
+    // Guarded so Detail()'s formatting is skipped when tracing is off: probes
+    // to private endpoints leak onto the global Lan on every punch.
+    if (network_->trace().enabled()) {
+      network_->trace().Record(network_->now(), trace_id_, event, packet,
+                               Detail("next_hop=", next_hop));
+    }
     return;
   }
 
@@ -207,14 +211,18 @@ void Lan::Mangle(Packet& packet, SimDuration& extra, bool& duplicate) {
       const uint64_t bit = rng.NextBelow(static_cast<uint64_t>(packet.payload.size()) * 8);
       packet.payload[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
     }
-    network_->trace().Record(network_->now(), trace_id_, TraceEvent::kCorrupt, packet,
-                             Detail("bits=", bits));
+    if (network_->trace().enabled()) {
+      network_->trace().Record(network_->now(), trace_id_, TraceEvent::kCorrupt, packet,
+                               Detail("bits=", bits));
+    }
     obs::Inc(metric_corrupted_);
   }
   if (m.truncate > 0.0 && !packet.payload.empty() && rng.NextBool(m.truncate)) {
     const size_t new_size = static_cast<size_t>(rng.NextBelow(packet.payload.size()));
-    network_->trace().Record(network_->now(), trace_id_, TraceEvent::kTruncate, packet,
-                             Detail(uint64_t{packet.payload.size()}, "=>", uint64_t{new_size}));
+    if (network_->trace().enabled()) {
+      network_->trace().Record(network_->now(), trace_id_, TraceEvent::kTruncate, packet,
+                               Detail(uint64_t{packet.payload.size()}, "=>", uint64_t{new_size}));
+    }
     packet.payload.resize(new_size);
     obs::Inc(metric_truncated_);
   }
@@ -226,8 +234,10 @@ void Lan::Mangle(Packet& packet, SimDuration& extra, bool& duplicate) {
   if (m.reorder > 0.0 && rng.NextBool(m.reorder)) {
     const int64_t max_us = std::max<int64_t>(1, m.reorder_hold.micros());
     extra = Micros(rng.NextInRange(1, max_us));
-    network_->trace().Record(network_->now(), trace_id_, TraceEvent::kReorder, packet,
-                             Detail("hold_us=", static_cast<uint64_t>(extra.micros())));
+    if (network_->trace().enabled()) {
+      network_->trace().Record(network_->now(), trace_id_, TraceEvent::kReorder, packet,
+                               Detail("hold_us=", static_cast<uint64_t>(extra.micros())));
+    }
     obs::Inc(metric_reordered_);
   }
 }

@@ -20,6 +20,7 @@
 #include "src/netsim/packet.h"
 #include "src/netsim/sim_time.h"
 #include "src/netsim/trace.h"
+#include "src/util/inline_vector.h"
 
 namespace natpunch {
 
@@ -165,7 +166,8 @@ class Lan final : private EventLoop::ReservedOwner {
   LanConfig config_;
   bool up_ = true;
   bool burst_bad_ = false;  // Gilbert-Elliott channel state
-  std::vector<Attachment> attachments_;
+  // A private LAN (a NAT and its host) fits inline; the global realm spills.
+  InlineVector<Attachment, 2> attachments_;
   SimTime medium_free_at_;  // when the shared medium finishes its last frame
   uint64_t packets_ = 0;
   uint64_t bytes_ = 0;

@@ -16,6 +16,7 @@
 #include "src/netsim/address.h"
 #include "src/netsim/packet.h"
 #include "src/netsim/trace.h"
+#include "src/util/inline_vector.h"
 
 namespace natpunch {
 
@@ -81,8 +82,11 @@ class Node {
     std::optional<Ipv4Address> gateway;
   };
 
-  std::vector<Iface> ifaces_;
-  std::vector<Route> routes_;
+  // Inline room for the usual shape (a host: one interface and two
+  // routes; a NAT: two interfaces and three routes), so building a node
+  // allocates nothing past the node itself.
+  InlineVector<Iface, 2> ifaces_;
+  InlineVector<Route, 3> routes_;
 
   // One-entry route cache for SendPacket. Most nodes converse with a handful
   // of destinations, and the routing table is static after topology setup,

@@ -112,15 +112,30 @@ std::string TraceRecord::ToString(const TraceRecorder& trace) const {
   return out;
 }
 
-TraceNodeId TraceRecorder::Intern(std::string_view name) {
-  auto it = ids_.find(name);
-  if (it != ids_.end()) {
-    return it->second;
+size_t TraceRecorder::FindSlot(std::string_view name) const {
+  const size_t mask = index_.size() - 1;
+  size_t i = std::hash<std::string_view>{}(name) & mask;
+  while (index_[i] != 0 && names_[index_[i]] != name) {
+    i = (i + 1) & mask;
   }
-  const TraceNodeId id = static_cast<TraceNodeId>(names_.size());
-  names_.emplace_back(name);
-  ids_.emplace(names_.back(), id);
-  return id;
+  return i;
+}
+
+TraceNodeId TraceRecorder::Intern(std::string_view name) {
+  if (2 * names_.size() > index_.size()) {
+    // Double the slot array and re-index every name, so that it stays at
+    // most half full after this insert.
+    index_.assign(std::max<size_t>(16, 2 * index_.size()), TraceNodeId{0});
+    for (TraceNodeId id = 1; id < names_.size(); ++id) {
+      index_[FindSlot(names_[id])] = id;
+    }
+  }
+  const size_t slot = FindSlot(name);
+  if (index_[slot] == 0) {
+    index_[slot] = static_cast<TraceNodeId>(names_.size());
+    names_.emplace_back(name);
+  }
+  return index_[slot];
 }
 
 void TraceRecorder::RecordEvent(SimTime time, TraceNodeId node, TraceEvent event,
@@ -157,11 +172,11 @@ size_t TraceRecorder::Count(TraceEvent event, TraceNodeId node) const {
 }
 
 size_t TraceRecorder::Count(TraceEvent event, const std::string& node) const {
-  auto it = ids_.find(node);
-  if (it == ids_.end()) {
+  if (index_.empty()) {
     return 0;
   }
-  return Count(event, it->second);
+  const TraceNodeId id = index_[FindSlot(node)];
+  return id == 0 ? 0 : Count(event, id);
 }
 
 std::string TraceRecorder::Dump() const {

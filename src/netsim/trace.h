@@ -15,10 +15,10 @@
 #ifndef SRC_NETSIM_TRACE_H_
 #define SRC_NETSIM_TRACE_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "src/netsim/packet.h"
@@ -167,11 +167,13 @@ class TraceRecorder {
   // Drops the records but keeps the vector capacity and the name table, so a
   // warmed-up recorder stays allocation-free after a Clear().
   void Clear() { records_.clear(); }
-  // Full reset: also forgets interned names (Network::Reset).
+  // Full reset: also forgets interned names (Network::Reset). The name
+  // index keeps its slot array, so a reset recorder re-interns a world's
+  // names without allocating.
   void ClearAll() {
     records_.clear();
     names_.resize(1);
-    ids_.clear();
+    std::fill(index_.begin(), index_.end(), TraceNodeId{0});
   }
 
   // Number of records matching `event` (optionally restricted to a node).
@@ -183,17 +185,16 @@ class TraceRecorder {
   std::string Dump() const;
 
  private:
-  // Heterogeneous lookup so Intern(string_view) — which every Node/Lan
-  // constructor calls — never materializes a temporary std::string.
-  struct NameHash {
-    using is_transparent = void;
-    size_t operator()(std::string_view s) const { return std::hash<std::string_view>{}(s); }
-  };
+  // Slot in index_ holding `name`'s id, or the empty slot where it belongs.
+  size_t FindSlot(std::string_view name) const;
 
   bool enabled_ = false;
   std::vector<TraceRecord> records_;
   std::vector<std::string> names_;  // id -> name
-  std::unordered_map<std::string, TraceNodeId, NameHash, std::equal_to<>> ids_;  // name -> id
+  // name -> id: open addressing with linear probing over a power-of-two
+  // slot array of ids into names_, 0 marking an empty slot (id 0, the empty
+  // name, is never indexed). Kept at most half full.
+  std::vector<TraceNodeId> index_;
 };
 
 }  // namespace natpunch

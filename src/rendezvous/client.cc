@@ -21,7 +21,7 @@ UdpRendezvousClient::UdpRendezvousClient(Host* host, ShardRing ring, uint64_t cl
 }
 
 void UdpRendezvousClient::SendToServer(const RendezvousMessage& msg) {
-  socket_->SendTo(server_, EncodeRendezvousMessage(msg, options_.obfuscate_addresses));
+  socket_->SendTo(server_, EncodeRendezvousMessagePayload(msg, options_.obfuscate_addresses));
 }
 
 void UdpRendezvousClient::Register(uint16_t local_port, EndpointCallback cb) {
@@ -304,7 +304,7 @@ TcpRendezvousClient::TcpRendezvousClient(Host* host, Endpoint server, uint64_t c
 
 void TcpRendezvousClient::SendToServer(const RendezvousMessage& msg) {
   connection_->Send(
-      MessageFramer::Frame(EncodeRendezvousMessage(msg, options_.obfuscate_addresses)));
+      MessageFramer::Frame(EncodeRendezvousMessagePayload(msg, options_.obfuscate_addresses)));
 }
 
 void TcpRendezvousClient::Connect(uint16_t local_port, EndpointCallback cb) {

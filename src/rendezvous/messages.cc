@@ -1,5 +1,7 @@
 #include "src/rendezvous/messages.h"
 
+#include <cstring>
+
 namespace natpunch {
 namespace {
 
@@ -21,7 +23,45 @@ Endpoint ReadEndpoint(ByteReader& r, bool obfuscate) {
   return Endpoint(ip, port);
 }
 
+// Big-endian store of the low `bytes` bytes of `v` at `p`; returns the end.
+uint8_t* Put(uint8_t* p, uint64_t v, int bytes) {
+  for (int i = bytes - 1; i >= 0; --i) {
+    *p++ = static_cast<uint8_t>(v >> (8 * i));
+  }
+  return p;
+}
+
+uint8_t* PutEndpoint(uint8_t* p, const Endpoint& ep, bool obfuscate) {
+  const Ipv4Address ip = obfuscate ? ep.ip.Complement() : ep.ip;
+  p = Put(p, ip.bits(), 4);
+  return Put(p, ep.port, 2);
+}
+
 }  // namespace
+
+Payload EncodeRendezvousMessagePayload(const RendezvousMessage& msg, bool obfuscate_addresses) {
+  // The ByteWriter layout of EncodeRendezvousMessage, stored in place: a
+  // keepalive or ack (no payload) is 50 bytes and stays inline.
+  const auto len = static_cast<uint16_t>(msg.payload.size());
+  Payload out;
+  out.resize(50 + static_cast<size_t>(len));
+  uint8_t* p = out.data();
+  p = Put(p, kMagic, 1);
+  p = Put(p, kVersion, 1);
+  p = Put(p, static_cast<uint8_t>(msg.type), 1);
+  p = Put(p, static_cast<uint8_t>(msg.strategy), 1);
+  p = Put(p, msg.client_id, 8);
+  p = Put(p, msg.target_id, 8);
+  p = Put(p, msg.nonce, 8);
+  p = Put(p, msg.epoch, 8);
+  p = PutEndpoint(p, msg.public_ep, obfuscate_addresses);
+  p = PutEndpoint(p, msg.private_ep, obfuscate_addresses);
+  p = Put(p, len, 2);
+  if (len > 0) {
+    std::memcpy(p, msg.payload.data(), len);
+  }
+  return out;
+}
 
 Bytes EncodeRendezvousMessage(const RendezvousMessage& msg, bool obfuscate_addresses) {
   ByteWriter w;
@@ -74,7 +114,7 @@ std::optional<RendezvousMessage> DecodeRendezvousMessage(ConstByteSpan data,
   return msg;
 }
 
-Bytes MessageFramer::Frame(const Bytes& body) {
+Bytes MessageFramer::Frame(ConstByteSpan body) {
   ByteWriter w;
   w.Reserve(2 + body.size());
   w.WriteU16(static_cast<uint16_t>(body.size()));
@@ -83,27 +123,9 @@ Bytes MessageFramer::Frame(const Bytes& body) {
 }
 
 std::vector<Bytes> MessageFramer::Append(const Bytes& data) {
-  buffer_.insert(buffer_.end(), data.begin(), data.end());
   std::vector<Bytes> out;
-  size_t pos = 0;
-  while (buffer_.size() - pos >= 2) {
-    const size_t len = static_cast<size_t>(buffer_[pos]) << 8 | buffer_[pos + 1];
-    if (len > max_frame_) {
-      // A length prefix beyond any legitimate message means the stream is
-      // desynchronized (corruption) or hostile (memory-exhaustion header).
-      // There is no way to resynchronize a length-prefixed stream, so drop
-      // everything buffered; the transport layer owns reconnecting.
-      ++oversize_frames_;
-      buffer_.clear();
-      return out;
-    }
-    if (buffer_.size() - pos - 2 < len) {
-      break;
-    }
-    out.emplace_back(buffer_.begin() + pos + 2, buffer_.begin() + pos + 2 + len);
-    pos += 2 + len;
-  }
-  buffer_.erase(buffer_.begin(), buffer_.begin() + pos);
+  Append(ConstByteSpan(data),
+         [&out](ConstByteSpan body) { out.emplace_back(body.begin(), body.end()); });
   return out;
 }
 

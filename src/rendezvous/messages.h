@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "src/netsim/address.h"
+#include "src/netsim/payload.h"
 #include "src/util/bytes.h"
 
 namespace natpunch {
@@ -61,6 +62,10 @@ struct RendezvousMessage {
 };
 
 Bytes EncodeRendezvousMessage(const RendezvousMessage& msg, bool obfuscate_addresses);
+// Byte-identical to EncodeRendezvousMessage, built straight into a packet
+// payload; the form the client and server send. A message without payload
+// (a keepalive, an ack) fits inline, so a UDP send of one never allocates.
+Payload EncodeRendezvousMessagePayload(const RendezvousMessage& msg, bool obfuscate_addresses);
 std::optional<RendezvousMessage> DecodeRendezvousMessage(ConstByteSpan data,
                                                          bool obfuscate_addresses);
 
@@ -81,10 +86,18 @@ class MessageFramer {
   static constexpr size_t kMaxDataFrame = 65535;
 
   // Frame a message body for stream transmission.
-  static Bytes Frame(const Bytes& body);
+  static Bytes Frame(ConstByteSpan body);
 
   // Feed stream bytes; returns every complete message body now available.
   std::vector<Bytes> Append(const Bytes& data);
+
+  // Feed stream bytes and call on_body(ConstByteSpan) for every complete
+  // message body, in order, without allocating per message. A body is a
+  // view into `data` or into the framer's buffer, valid only during its
+  // call; on_body must neither feed nor destroy this framer. Only a partial
+  // frame left at the end is copied into the buffer.
+  template <typename OnBody>
+  void Append(ConstByteSpan data, OnBody&& on_body);
 
   void set_max_frame(size_t max_frame) { max_frame_ = max_frame; }
   // Number of times an over-limit length prefix forced a buffer drop.
@@ -98,6 +111,40 @@ class MessageFramer {
   size_t max_frame_ = kDefaultMaxFrame;
   uint64_t oversize_frames_ = 0;
 };
+
+template <typename OnBody>
+void MessageFramer::Append(ConstByteSpan data, OnBody&& on_body) {
+  // With nothing buffered, frames are parsed straight out of `data`.
+  const bool direct = buffer_.empty();
+  if (!direct) {
+    buffer_.insert(buffer_.end(), data.begin(), data.end());
+  }
+  const uint8_t* bytes = direct ? data.data() : buffer_.data();
+  const size_t size = direct ? data.size() : buffer_.size();
+  size_t pos = 0;
+  while (size - pos >= 2) {
+    const size_t len = static_cast<size_t>(bytes[pos]) << 8 | bytes[pos + 1];
+    if (len > max_frame_) {
+      // A length prefix beyond any legitimate message means the stream is
+      // desynchronized (corruption) or hostile (memory-exhaustion header).
+      // There is no way to resynchronize a length-prefixed stream, so drop
+      // everything buffered; the transport layer owns reconnecting.
+      ++oversize_frames_;
+      buffer_.clear();
+      return;
+    }
+    if (size - pos - 2 < len) {
+      break;
+    }
+    on_body(ConstByteSpan(bytes + pos + 2, len));
+    pos += 2 + len;
+  }
+  if (direct) {
+    buffer_.assign(bytes + pos, bytes + size);
+  } else {
+    buffer_.erase(buffer_.begin(), buffer_.begin() + static_cast<ptrdiff_t>(pos));
+  }
+}
 
 }  // namespace natpunch
 

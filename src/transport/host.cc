@@ -8,9 +8,7 @@
 namespace natpunch {
 
 Host::Host(Network* network, std::string name, HostConfig config)
-    : Node(network, std::move(name)), config_(config) {
-  udp_ = std::make_unique<UdpStack>(this);
-  tcp_ = std::make_unique<TcpStack>(this, config_.tcp);
+    : Node(network, std::move(name)), config_(config), udp_(this), tcp_(this, config_.tcp) {
   if (obs::MetricsRegistry* reg = network_->metrics()) {
     char metric_name[96];
     const int n = std::snprintf(metric_name, sizeof(metric_name), "wire.%s.malformed_drops",
@@ -33,7 +31,7 @@ uint16_t Host::AllocateEphemeralPort(IpProtocol protocol) {
     const uint16_t port = next_ephemeral_;
     next_ephemeral_ = next_ephemeral_ >= 65535 ? 49152 : static_cast<uint16_t>(next_ephemeral_ + 1);
     const bool in_use =
-        protocol == IpProtocol::kTcp ? tcp_->IsPortBound(port) : udp_->IsPortBound(port);
+        protocol == IpProtocol::kTcp ? tcp_.IsPortBound(port) : udp_.IsPortBound(port);
     if (!in_use) {
       return port;
     }
@@ -56,16 +54,16 @@ void Host::HandlePacket(int iface, Packet&& packet) {
   }
   switch (packet.protocol) {
     case IpProtocol::kUdp:
-      udp_->HandlePacket(packet);
+      udp_.HandlePacket(packet);
       break;
     case IpProtocol::kTcp:
-      tcp_->HandlePacket(packet);
+      tcp_.HandlePacket(packet);
       break;
     case IpProtocol::kIcmp:
       if (packet.icmp.original_protocol == IpProtocol::kUdp) {
-        udp_->HandleIcmpError(packet);
+        udp_.HandleIcmpError(packet);
       } else if (packet.icmp.original_protocol == IpProtocol::kTcp) {
-        tcp_->HandleIcmpError(packet);
+        tcp_.HandleIcmpError(packet);
       }
       break;
   }

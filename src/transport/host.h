@@ -9,7 +9,6 @@
 #ifndef SRC_TRANSPORT_HOST_H_
 #define SRC_TRANSPORT_HOST_H_
 
-#include <memory>
 #include <string>
 
 #include "src/netsim/network.h"
@@ -35,8 +34,8 @@ class Host : public Node {
   Host(Network* network, std::string name, HostConfig config = HostConfig{});
   ~Host() override;
 
-  UdpStack& udp() { return *udp_; }
-  TcpStack& tcp() { return *tcp_; }
+  UdpStack& udp() { return udp_; }
+  TcpStack& tcp() { return tcp_; }
   const HostConfig& config() const { return config_; }
 
   void HandlePacket(int iface, Packet&& packet) override;
@@ -63,8 +62,9 @@ class Host : public Node {
 
  private:
   HostConfig config_;
-  std::unique_ptr<UdpStack> udp_;
-  std::unique_ptr<TcpStack> tcp_;
+  // Held by value: a host and its stacks are one allocation.
+  UdpStack udp_;
+  TcpStack tcp_;
   uint16_t next_ephemeral_ = 49152;
   uint64_t malformed_drops_ = 0;
   obs::Counter* metric_malformed_ = nullptr;  // null when metrics disabled

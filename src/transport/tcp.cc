@@ -120,7 +120,11 @@ Status TcpSocket::Send(Bytes data) {
   if (state_ != TcpState::kEstablished && state_ != TcpState::kCloseWait) {
     return Status(ErrorCode::kNotConnected);
   }
-  send_buffer_.insert(send_buffer_.end(), data.begin(), data.end());
+  if (send_buffer_.empty()) {
+    send_buffer_ = std::move(data);  // nothing queued: adopt the caller's buffer
+  } else {
+    send_buffer_.insert(send_buffer_.end(), data.begin(), data.end());
+  }
   TrySendData();
   return Status::Ok();
 }
@@ -200,7 +204,7 @@ void TcpSocket::SendControl(bool syn, bool ack, bool fin, bool rst, uint32_t seq
   host()->SendFromTransport(std::move(p));
 }
 
-void TcpSocket::SendDataSegment(uint32_t seq, Bytes payload, bool fin) {
+void TcpSocket::SendDataSegment(uint32_t seq, uint32_t len, bool fin) {
   Packet p;
   p.protocol = IpProtocol::kTcp;
   p.set_src(tuple_.local);
@@ -210,8 +214,8 @@ void TcpSocket::SendDataSegment(uint32_t seq, Bytes payload, bool fin) {
   p.tcp.seq = seq;
   p.tcp.ack_seq = rcv_nxt_;
   p.tcp.window = stack_->config().receive_window;
-  bytes_sent_ += payload.size();
-  p.payload = std::move(payload);
+  bytes_sent_ += len;
+  p.payload.assign(send_buffer_.data() + send_head_ + (seq - buffer_base_), len);
   host()->SendFromTransport(std::move(p));
 }
 
@@ -411,11 +415,21 @@ void TcpSocket::ProcessAck(uint32_t ack_seq) {
   // Pop acknowledged bytes off the send buffer (clamped: the FIN occupies
   // sequence space but no buffer byte).
   uint32_t advance = ack_seq - buffer_base_;
-  if (advance > send_buffer_.size()) {
-    advance = static_cast<uint32_t>(send_buffer_.size());
+  if (advance > buffered()) {
+    advance = buffered();
   }
-  send_buffer_.erase(send_buffer_.begin(), send_buffer_.begin() + advance);
+  send_head_ += advance;
   buffer_base_ += advance;
+  if (send_head_ == send_buffer_.size()) {
+    send_buffer_.clear();
+    send_head_ = 0;
+  } else if (2 * send_head_ >= send_buffer_.size()) {
+    // Drop the acknowledged prefix once it is at least half the buffer, so
+    // each byte moves O(1) times over the stream's life.
+    send_buffer_.erase(send_buffer_.begin(),
+                       send_buffer_.begin() + static_cast<ptrdiff_t>(send_head_));
+    send_head_ = 0;
+  }
 
   retransmit_count_ = 0;
   current_rto_ = stack_->config().initial_rto;
@@ -455,16 +469,8 @@ void TcpSocket::ProcessPayload(const Packet& p) {
       should_ack = true;
     } else if (SeqGt(seg_seq + seg_len, rcv_nxt_)) {
       const uint32_t offset = rcv_nxt_ - seg_seq;
-      Bytes fresh(p.payload.begin() + offset, p.payload.end());
-      rcv_nxt_ += static_cast<uint32_t>(fresh.size());
-      bytes_received_ += fresh.size();
       should_ack = true;
-      if (data_cb_) {
-        // Invoke a copy: the callback may replace itself (e.g. a hole
-        // puncher handing the socket to the application's stream wrapper).
-        auto cb = data_cb_;
-        cb(fresh);
-      }
+      Deliver(p.payload.data() + offset, seg_len - offset);
       // Drain any now-contiguous out-of-order segments.
       auto it = out_of_order_.begin();
       while (it != out_of_order_.end() && SeqLe(it->first, rcv_nxt_)) {
@@ -472,13 +478,7 @@ void TcpSocket::ProcessPayload(const Packet& p) {
         const Bytes& o_data = it->second;
         if (SeqGt(o_seq + static_cast<uint32_t>(o_data.size()), rcv_nxt_)) {
           const uint32_t skip = rcv_nxt_ - o_seq;
-          Bytes extra(o_data.begin() + skip, o_data.end());
-          rcv_nxt_ += static_cast<uint32_t>(extra.size());
-          bytes_received_ += extra.size();
-          if (data_cb_) {
-            auto cb = data_cb_;
-            cb(extra);
-          }
+          Deliver(o_data.data() + skip, o_data.size() - skip);
         }
         it = out_of_order_.erase(it);
       }
@@ -527,8 +527,23 @@ void TcpSocket::ProcessPayload(const Packet& p) {
   }
 }
 
+void TcpSocket::Deliver(const uint8_t* data, size_t len) {
+  rcv_nxt_ += static_cast<uint32_t>(len);
+  bytes_received_ += len;
+  if (!data_cb_) {
+    return;
+  }
+  // Invoke a copy: the callback may replace itself (e.g. a hole puncher
+  // handing the socket to the application's stream wrapper).
+  auto cb = data_cb_;
+  Bytes bytes = std::move(stack_->rx_scratch_);
+  bytes.assign(data, data + len);
+  cb(bytes);
+  stack_->rx_scratch_ = std::move(bytes);
+}
+
 void TcpSocket::MaybeSendFin() {
-  const uint32_t data_end = buffer_base_ + static_cast<uint32_t>(send_buffer_.size());
+  const uint32_t data_end = buffer_base_ + buffered();
   const uint32_t unsent = SeqGt(data_end, snd_nxt_) ? data_end - snd_nxt_ : 0;
   if (!fin_queued_ || fin_sent_ || unsent != 0) {
     return;
@@ -553,8 +568,7 @@ void TcpSocket::TrySendData() {
   const TcpConfig& config = stack_->config();
   for (;;) {
     const uint32_t in_flight = snd_nxt_ - snd_una_;
-    const uint32_t buffered = static_cast<uint32_t>(send_buffer_.size());
-    const uint32_t data_end = buffer_base_ + buffered;
+    const uint32_t data_end = buffer_base_ + buffered();
     // The FIN occupies sequence space past the data, so clamp: once it is
     // sent, snd_nxt_ sits one past data_end.
     const uint32_t unsent = SeqGt(data_end, snd_nxt_) ? data_end - snd_nxt_ : 0;
@@ -567,13 +581,11 @@ void TcpSocket::TrySendData() {
     if (can_send == 0) {
       break;
     }
-    const uint32_t offset = snd_nxt_ - buffer_base_;
-    Bytes payload(send_buffer_.begin() + offset, send_buffer_.begin() + offset + can_send);
     const bool last_chunk = (unsent == can_send);
     const bool add_fin = fin_queued_ && !fin_sent_ && last_chunk &&
                          (state_ == TcpState::kFinWait1 || state_ == TcpState::kLastAck ||
                           state_ == TcpState::kClosing);
-    SendDataSegment(snd_nxt_, std::move(payload), add_fin);
+    SendDataSegment(snd_nxt_, can_send, add_fin);
     snd_nxt_ += can_send;
     if (add_fin) {
       fin_seq_ = snd_nxt_;
@@ -632,15 +644,12 @@ void TcpSocket::OnRetransmitTimeout() {
       return;
     }
     // Go-back to the first unacknowledged byte.
-    const uint32_t buffered = static_cast<uint32_t>(send_buffer_.size());
-    const uint32_t data_end = buffer_base_ + buffered;
+    const uint32_t data_end = buffer_base_ + buffered();
     if (SeqLt(snd_una_, data_end)) {
-      const uint32_t offset = snd_una_ - buffer_base_;
       const uint32_t len = std::min(config.mss, data_end - snd_una_);
-      Bytes payload(send_buffer_.begin() + offset, send_buffer_.begin() + offset + len);
       const bool with_fin = fin_sent_ && (snd_una_ + len == fin_seq_);
-      bytes_sent_ -= payload.size();  // don't double-count retransmissions
-      SendDataSegment(snd_una_, std::move(payload), with_fin);
+      bytes_sent_ -= len;  // don't double-count retransmissions
+      SendDataSegment(snd_una_, len, with_fin);
     } else if (fin_sent_ && SeqLe(snd_una_, fin_seq_)) {
       SendControl(false, true, /*fin=*/true, false, fin_seq_, rcv_nxt_);
     } else {
@@ -715,30 +724,33 @@ bool TcpStack::IsPortBound(uint16_t port) const {
 }
 
 Status TcpStack::RegisterBind(TcpSocket* socket, uint16_t port) {
-  std::vector<TcpSocket*>* sharers = bound_.Find(port);
-  if (sharers != nullptr) {
-    for (TcpSocket* other : *sharers) {
+  bool inserted = false;
+  TcpSocket** head = bound_.FindOrInsert(port, &inserted);
+  if (!inserted) {
+    for (TcpSocket* other = *head; other != nullptr; other = other->next_bound_) {
       if (!other->reuse_addr() || !socket->reuse_addr()) {
         return Status(ErrorCode::kAddressInUse, "TCP port " + std::to_string(port));
       }
     }
   }
-  bound_.FindOrInsert(port)->push_back(socket);
+  socket->next_bound_ = inserted ? nullptr : *head;
+  *head = socket;
   return Status::Ok();
 }
 
 void TcpStack::UnregisterBind(TcpSocket* socket) {
-  std::vector<TcpSocket*>* sharers = bound_.Find(socket->local_port());
-  if (sharers == nullptr) {
+  TcpSocket** head = bound_.Find(socket->local_port());
+  if (head == nullptr) {
     return;
   }
-  for (auto it = sharers->begin(); it != sharers->end(); ++it) {
-    if (*it == socket) {
-      sharers->erase(it);
+  for (TcpSocket** link = head; *link != nullptr; link = &(*link)->next_bound_) {
+    if (*link == socket) {
+      *link = socket->next_bound_;
+      socket->next_bound_ = nullptr;
       break;
     }
   }
-  if (sharers->empty()) {
+  if (*head == nullptr) {
     bound_.Erase(socket->local_port());
   }
 }

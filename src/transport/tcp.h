@@ -26,7 +26,6 @@
 #define SRC_TRANSPORT_TCP_H_
 
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <vector>
@@ -118,7 +117,12 @@ class TcpSocket {
   void HandleSegmentConnected(const Packet& p);  // kEstablished and later
 
   void SendControl(bool syn, bool ack, bool fin, bool rst, uint32_t seq, uint32_t ack_seq);
-  void SendDataSegment(uint32_t seq, Bytes payload, bool fin);
+  // Sends send_buffer_ bytes [seq, seq + len) as one segment.
+  void SendDataSegment(uint32_t seq, uint32_t len, bool fin);
+  // Bytes from buffer_base_ on: unacknowledged, then unsent.
+  uint32_t buffered() const { return static_cast<uint32_t>(send_buffer_.size() - send_head_); }
+  // Delivers received stream bytes to the data callback.
+  void Deliver(const uint8_t* data, size_t len);
   void SendAck();
 
   void EnterEstablished();
@@ -146,6 +150,7 @@ class TcpSocket {
   bool via_accept_ = false;
   bool doomed_ = false;  // kLinuxWindows policy hijacked our SYN (§4.3)
   TcpSocket* parent_listener_ = nullptr;  // for sockets spawned by a listener
+  TcpSocket* next_bound_ = nullptr;       // next socket bound to our port
   bool accept_delivered_ = false;
 
   // Send state.
@@ -153,8 +158,11 @@ class TcpSocket {
   uint32_t snd_una_ = 0;
   uint32_t snd_nxt_ = 0;
   uint32_t snd_wnd_ = 65535;
-  uint32_t buffer_base_ = 0;         // sequence number of send_buffer_.front()
-  std::deque<uint8_t> send_buffer_;  // unacknowledged + unsent stream bytes
+  uint32_t buffer_base_ = 0;  // sequence number of send_buffer_[send_head_]
+  // Stream bytes; the acknowledged prefix [0, send_head_) is dropped lazily
+  // (ProcessAck), so popping acknowledged bytes never moves the rest.
+  Bytes send_buffer_;
+  size_t send_head_ = 0;
   bool fin_queued_ = false;
   bool fin_sent_ = false;
   uint32_t fin_seq_ = 0;
@@ -230,11 +238,15 @@ class TcpStack {
   Slab<TcpSocket, 128> socket_pool_;
   std::vector<TcpSocket*> sockets_;
   // Per-segment demux tables, all flat-hash (see src/util/flat_hash.h).
-  // bound_ keeps insertion order within a port (SO_REUSEADDR sockets), the
-  // order the old multimap guaranteed.
+  // bound_ maps a port to the newest socket bound to it; the sockets sharing
+  // the port (SO_REUSEADDR) are chained through next_bound_.
   FlatHashMap<FourTuple, TcpSocket*, FourTupleHash> connections_;
   FlatHashMap<uint16_t, TcpSocket*> listeners_;
-  FlatHashMap<uint16_t, std::vector<TcpSocket*>> bound_;
+  FlatHashMap<uint16_t, TcpSocket*> bound_;
+  // Reused buffer for the bytes handed to a socket's data callback (which
+  // takes const Bytes&). Moved out for the call, so a nested delivery
+  // starts from an empty buffer rather than clobbering the outer one.
+  Bytes rx_scratch_;
 
   // Registry names: tcp.<host>.retransmits / simultaneous_opens / rsts_sent.
   // Null when the owning Network has no metrics registry.

@@ -5,26 +5,40 @@
 // allocations, rendezvous registration records). Allocating each one with
 // operator new costs a malloc header and scatters them across the heap;
 // freeing returns the memory to malloc but never to the pool that needs it
-// next. A Slab<T> instead carves fixed-size chunks ("slabs") of N objects,
+// next. A Slab<T> instead carves chunks ("slabs") of fixed-size slots,
 // hands slots out from an intrusive freelist, and recycles every freed slot
 // in O(1) — so a steady-state population churning sessions never grows the
 // pool past its high-water mark, and sizeof(T) is the whole per-object cost.
 //
+// Chunk policy: the first chunk holds min(8, N) slots and each later chunk
+// doubles the previous one, up to N (kObjectsPerSlab) slots per chunk. A
+// chunk's slots are carved one at a time as New() needs them, never threaded
+// onto the freelist up front, so no slot memory is written before its first
+// New(). Most pools live in a small, short-lived world (a NAT Check run, a
+// punch attempt, a chaos trial) and hold a handful of objects: they pay one
+// small chunk, not an N-slot block that glibc would page in (or, past its
+// 128 KiB threshold, mmap and unmap) for every world. A pool of P objects
+// holds at most about 2P slots until its chunks reach N, and at most P + N
+// after that.
+//
 // Guarantees and limits:
 //  * New()/Delete() are O(1); Delete returns the slot to the freelist
 //    without releasing memory (a warmed pool allocates nothing).
-//  * Object addresses are stable for their lifetime (slabs never move).
-//  * Reset() destroys every live object and returns all slots to the
-//    freelist while KEEPING the slabs, mirroring the EventLoop/Network
-//    Reset idiom: a reused arena reaches steady state with zero allocation.
-//  * Release() frees the slabs themselves (destructor does too).
+//  * Freed slots are reused LIFO before any fresh slot is carved.
+//  * Object addresses are stable for their lifetime (chunks never move).
+//  * Reset() drops every live object (T must be trivially destructible)
+//    and makes every slot free while KEEPING the chunks, mirroring the EventLoop/Network Reset idiom: a
+//    reused arena reaches steady state with zero allocation, and carves
+//    its slots again in the same order as the first time.
+//  * Release() frees the chunks themselves (destructor does too).
 //  * Not thread-safe; one pool per owning subsystem, like every other
 //    container in this codebase.
 //
 // Observability: AttachMetrics wires mem.<pool>.live / .peak / .slabs
 // gauges into the registry (registration may allocate once; the alloc/free
-// path never does — the same rule the rest of src/obs follows). The stats()
-// snapshot powers scripts/memprof.sh's per-pool breakdown.
+// path never does — the same rule the rest of src/obs follows); .slabs
+// counts chunks. The stats() snapshot powers scripts/memprof.sh's per-pool
+// breakdown.
 
 #ifndef SRC_UTIL_SLAB_H_
 #define SRC_UTIL_SLAB_H_
@@ -33,6 +47,9 @@
 #include <cstdint>
 #include <memory>
 #include <new>
+#include <string>
+#include <string_view>
+#include <type_traits>
 #include <utility>
 
 #include "src/obs/metrics.h"
@@ -52,23 +69,26 @@ class Slab {
   static_assert(kObjectsPerSlab > 0, "slab chunk must hold at least one object");
 
  public:
+  // Slots in the first chunk; each later chunk doubles up to kObjectsPerSlab.
+  static constexpr size_t kFirstChunkSlots = kObjectsPerSlab < 8 ? kObjectsPerSlab : 8;
+
   Slab() = default;
-  ~Slab() { ReleaseSlabs(); }
+  ~Slab() { ReleaseChunks(); }
 
   Slab(const Slab&) = delete;
   Slab& operator=(const Slab&) = delete;
 
-  // Construct a T in a recycled (or fresh) slot. Only allocates when the
-  // freelist is empty — once per kObjectsPerSlab objects at the high-water
-  // mark, never again after it.
+  // Construct a T in a recycled (or freshly carved) slot. Only allocates
+  // when the freelist is empty and the chunks are fully carved — never
+  // again once the pool has reached its high-water mark.
   template <typename... Args>
   T* New(Args&&... args) {
-    FreeSlot* slot = free_head_;
-    if (slot == nullptr) {
-      Grow();
-      slot = free_head_;
+    void* slot = free_head_;
+    if (slot != nullptr) {
+      free_head_ = free_head_->next;
+    } else {
+      slot = Carve();
     }
-    free_head_ = slot->next;
     T* obj = new (slot) T(std::forward<Args>(args)...);
     ++live_;
     if (live_ > peak_) {
@@ -99,36 +119,45 @@ class Slab {
     obs::Set(metric_live_, static_cast<int64_t>(live_));
   }
 
-  // Destroy every live object and rebuild the freelist over the existing
-  // slabs. Keeps the memory: a Reset() pool re-reaches its old population
-  // without allocating. Requires T to be safely destructible in slab order.
+  // Drop every live object and make every slot free again, keeping the
+  // chunks: a Reset() pool re-reaches its old population without
+  // allocating. Live objects are not destroyed, so T must be trivially
+  // destructible; pools of other types Delete() through their owner first.
   void Reset() {
-    FreeAllSlots</*destroy=*/true>();
+    static_assert(std::is_trivially_destructible_v<T>,
+                  "Slab::Reset() cannot run non-trivial destructors on live objects; "
+                  "Delete() them through the owning container first, then Reset()");
+    free_head_ = nullptr;
+    carve_chunk_ = nullptr;
+    carve_next_ = carve_end_ = nullptr;
+    live_ = 0;
+    obs::Set(metric_live_, 0);
   }
 
-  // Drop the slabs themselves (and any live objects' storage — callers must
-  // have destroyed or abandoned them; live objects ARE destroyed here).
+  // Drop the chunks themselves (callers must have destroyed or abandoned
+  // the live objects; their storage goes with the chunks).
   void Release() {
-    ReleaseSlabs();
+    ReleaseChunks();
     free_head_ = nullptr;
-    slab_head_ = nullptr;
-    live_ = peak_ = slab_count_ = 0;
+    carve_chunk_ = nullptr;
+    carve_next_ = carve_end_ = nullptr;
+    live_ = peak_ = chunk_count_ = capacity_ = 0;
     obs::Set(metric_live_, 0);
     obs::Set(metric_slabs_, 0);
   }
 
   size_t live() const { return live_; }
   size_t peak() const { return peak_; }
-  size_t slab_count() const { return slab_count_; }
-  size_t capacity() const { return slab_count_ * kObjectsPerSlab; }
+  size_t slab_count() const { return chunk_count_; }
+  size_t capacity() const { return capacity_; }
 
   SlabStats stats() const {
     SlabStats s;
     s.live = live_;
     s.peak = peak_;
-    s.slabs = slab_count_;
-    s.capacity = capacity();
-    s.slab_bytes = capacity() * kSlotSize;
+    s.slabs = chunk_count_;
+    s.capacity = capacity_;
+    s.slab_bytes = capacity_ * kSlotSize;
     return s;
   }
 
@@ -144,7 +173,7 @@ class Slab {
     metric_slabs_ = registry->GetGauge(base + ".slabs");
     obs::Set(metric_live_, static_cast<int64_t>(live_));
     obs::Set(metric_peak_, static_cast<int64_t>(peak_));
-    obs::Set(metric_slabs_, static_cast<int64_t>(slab_count_));
+    obs::Set(metric_slabs_, static_cast<int64_t>(chunk_count_));
   }
 
  private:
@@ -157,64 +186,74 @@ class Slab {
       sizeof(T) > sizeof(FreeSlot) ? sizeof(T) : sizeof(FreeSlot);
   static constexpr size_t kSlotAlign =
       alignof(T) > alignof(FreeSlot) ? alignof(T) : alignof(FreeSlot);
+  static_assert(kSlotAlign <= __STDCPP_DEFAULT_NEW_ALIGNMENT__,
+                "chunks come from plain operator new; over-aligned T is unsupported");
 
-  struct SlabBlock {
-    SlabBlock* next = nullptr;
-    alignas(kSlotAlign) unsigned char storage[kSlotSize * kObjectsPerSlab];
+  // Chunk header; its slots follow at kHeaderSize. Chunks form a list in
+  // allocation order, which is also the order Carve() walks after Reset().
+  struct Chunk {
+    Chunk* next;
+    size_t slots;
   };
+  static constexpr size_t kHeaderSize = (sizeof(Chunk) + kSlotAlign - 1) / kSlotAlign * kSlotAlign;
 
-  void Grow() {
-    auto* block = new SlabBlock;
-    block->next = slab_head_;
-    slab_head_ = block;
-    ++slab_count_;
-    obs::Set(metric_slabs_, static_cast<int64_t>(slab_count_));
-    // Thread the new slots onto the freelist back-to-front so allocation
-    // walks the block front-to-back (friendlier to the prefetcher).
-    for (size_t i = kObjectsPerSlab; i-- > 0;) {
-      auto* slot = reinterpret_cast<FreeSlot*>(block->storage + i * kSlotSize);
-      slot->next = free_head_;
-      free_head_ = slot;
-    }
+  static unsigned char* SlotsOf(Chunk* chunk) {
+    return reinterpret_cast<unsigned char*>(chunk) + kHeaderSize;
   }
 
-  // Rebuild the freelist across all slabs, optionally destroying live
-  // objects first. Live-object detection: rebuilds from scratch, so every
-  // slot is recycled regardless of state; destroy=true runs ~T() on live
-  // ones, which requires tracking. To keep the pool header-free we instead
-  // require Reset() callers to destroy via the owning container first when
-  // T's destructor has effects, or accept destructor-less reclamation for
-  // trivially-destructible T.
-  template <bool destroy>
-  void FreeAllSlots() {
-    static_assert(!destroy || std::is_trivially_destructible_v<T>,
-                  "Slab::Reset() cannot run non-trivial destructors on live objects; "
-                  "Delete() them through the owning container first, then Reset()");
-    free_head_ = nullptr;
-    for (SlabBlock* block = slab_head_; block != nullptr; block = block->next) {
-      for (size_t i = kObjectsPerSlab; i-- > 0;) {
-        auto* slot = reinterpret_cast<FreeSlot*>(block->storage + i * kSlotSize);
-        slot->next = free_head_;
-        free_head_ = slot;
+  // Hand out the next never-used slot: from the chunk being carved, else
+  // from the next kept chunk (after a Reset), else from a new chunk.
+  void* Carve() {
+    if (carve_next_ == carve_end_) {
+      Chunk* next = carve_chunk_ == nullptr ? first_chunk_ : carve_chunk_->next;
+      if (next == nullptr) {
+        next = AddChunk();
       }
+      carve_chunk_ = next;
+      carve_next_ = SlotsOf(next);
+      carve_end_ = carve_next_ + next->slots * kSlotSize;
     }
-    live_ = 0;
-    obs::Set(metric_live_, 0);
+    void* slot = carve_next_;
+    carve_next_ += kSlotSize;
+    return slot;
   }
 
-  void ReleaseSlabs() {
-    while (slab_head_ != nullptr) {
-      SlabBlock* next = slab_head_->next;
-      delete slab_head_;
-      slab_head_ = next;
+  Chunk* AddChunk() {
+    size_t slots = kFirstChunkSlots;
+    if (last_chunk_ != nullptr) {
+      slots = last_chunk_->slots * 2 < kObjectsPerSlab ? last_chunk_->slots * 2 : kObjectsPerSlab;
     }
+    auto* chunk = static_cast<Chunk*>(::operator new(kHeaderSize + slots * kSlotSize));
+    chunk->next = nullptr;
+    chunk->slots = slots;
+    (last_chunk_ == nullptr ? first_chunk_ : last_chunk_->next) = chunk;
+    last_chunk_ = chunk;
+    ++chunk_count_;
+    capacity_ += slots;
+    obs::Set(metric_slabs_, static_cast<int64_t>(chunk_count_));
+    return chunk;
+  }
+
+  void ReleaseChunks() {
+    while (first_chunk_ != nullptr) {
+      Chunk* next = first_chunk_->next;
+      ::operator delete(first_chunk_);
+      first_chunk_ = next;
+    }
+    last_chunk_ = nullptr;
   }
 
   FreeSlot* free_head_ = nullptr;
-  SlabBlock* slab_head_ = nullptr;
+  Chunk* first_chunk_ = nullptr;
+  Chunk* last_chunk_ = nullptr;
+  // The chunk slots are being carved from, and its unused tail.
+  Chunk* carve_chunk_ = nullptr;
+  unsigned char* carve_next_ = nullptr;
+  unsigned char* carve_end_ = nullptr;
   size_t live_ = 0;
   size_t peak_ = 0;
-  size_t slab_count_ = 0;
+  size_t chunk_count_ = 0;
+  size_t capacity_ = 0;
   obs::Gauge* metric_live_ = nullptr;
   obs::Gauge* metric_peak_ = nullptr;
   obs::Gauge* metric_slabs_ = nullptr;

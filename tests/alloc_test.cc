@@ -14,8 +14,10 @@
 #include <cstdlib>
 #include <new>
 #include <string>
+#include <vector>
 
 #include "src/core/udp_puncher.h"
+#include "src/fleet/fleet.h"
 #include "src/nat/nat_table.h"
 #include "src/netsim/fault.h"
 #include "src/obs/metrics.h"
@@ -24,6 +26,7 @@
 #include "src/scenario/scenario.h"
 #include "src/transport/host.h"
 #include "src/util/flat_hash.h"
+#include "src/util/rng.h"
 
 namespace {
 
@@ -434,6 +437,46 @@ TEST(ZeroAllocTest, JumboPayloadsAllocateButStillFlow) {
   net.RunFor(Millis(100));
   g_counting.store(false);
   EXPECT_GT(g_allocs.load(), 0u);
+}
+
+// Cold worlds: Table 1 runs NAT Check once per device, each run a small
+// world (three check servers, the device's NAT, one client) built, run and
+// torn down inside RunFleet's reused Scenario. What a report may still
+// allocate is its world's own objects (nodes, sockets, mappings, the first
+// chunk of each pool and table); this pins the average so per-message and
+// per-container heap traffic cannot creep back (DESIGN.md "Memory
+// footprint").
+TEST(ColdWorldAllocTest, NatCheckReportAllocationBudget) {
+  constexpr double kMaxAllocationsPerReport = 64;
+  const std::vector<DeviceSpec> fleet = BuildFleet(PaperTable1Vendors(), /*seed=*/2005);
+  std::vector<DeviceSpec> devices;
+  for (size_t i = 0; i < fleet.size(); i += 10) {
+    devices.push_back(fleet[i]);  // 38 reports across every vendor row
+  }
+  ASSERT_GE(devices.size(), 38u);
+  std::vector<uint64_t> seeds;
+  Rng rng(6);
+  for (size_t i = 0; i < devices.size(); ++i) {
+    seeds.push_back(rng.NextU64());
+  }
+  Scenario scenario;
+  const auto run_all = [&] {
+    for (size_t i = 0; i < devices.size(); ++i) {
+      RunNatCheckIn(scenario, devices[i], seeds[i]);
+    }
+  };
+  run_all();  // warm-up: the arena's event loop, trace and Lan capacities
+
+  g_allocs.store(0);
+  g_samples.store(0);
+  g_counting.store(true);
+  run_all();
+  g_counting.store(false);
+  const double per_report =
+      static_cast<double>(g_allocs.load()) / static_cast<double>(devices.size());
+  RecordProperty("allocations_per_report", std::to_string(per_report));
+  EXPECT_LE(per_report, kMaxAllocationsPerReport) << DescribeSamples();
+  EXPECT_GT(per_report, 0.0) << "the counting hook saw nothing";
 }
 
 }  // namespace

@@ -5,9 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "src/fleet/fleet.h"
+#include "src/scenario/scenario.h"
+#include "src/util/rng.h"
 
 namespace natpunch {
 namespace {
@@ -69,6 +72,42 @@ TEST(FleetTest, ParallelWithMoreThreadsThanDevices) {
   const auto fleet = BuildFleet(one, 3);
   ASSERT_EQ(fleet.size(), 1u);
   EXPECT_EQ(RunFleetParallel(fleet, 6, 8), RunFleet(fleet, 6));
+}
+
+// The cold-world allocation cuts (the trace name index, hosts holding their
+// stacks by value, pooled and inline containers) lean on Scenario::Reset
+// leaving a reused arena bit-identical to a fresh one. Every report from a
+// fresh Scenario per device must equal the reused arena's, and tallying
+// them must reproduce RunFleet.
+TEST(FleetTest, FreshScenarioReportsEqualReusedArenaReports) {
+  std::vector<DeviceSpec> devices = TinyFleet();
+  const std::vector<DeviceSpec> calibrated = BuildFleet(PaperTable1Vendors(), /*seed=*/2005);
+  for (size_t i = 0; i < calibrated.size(); i += 10) {
+    devices.push_back(calibrated[i]);  // every vendor row of Table 1
+  }
+  constexpr uint64_t kFleetSeed = 6;
+  // RunFleet's per-device seeds: drawn in device order from the fleet seed.
+  Rng seeds(kFleetSeed);
+  Scenario arena;
+  Table1Result fresh;
+  uint64_t reused_events = 0;
+  for (const DeviceSpec& device : devices) {
+    const uint64_t seed = seeds.NextU64();
+    const NatCheckReport cold = RunNatCheckOn(device, seed, &fresh.events);
+    const NatCheckReport warm = RunNatCheckIn(arena, device, seed, &reused_events);
+    EXPECT_EQ(cold, warm) << device.vendor << "\nfresh:  " << cold.ToString()
+                          << "\nreused: " << warm.ToString();
+    auto row = std::find_if(fresh.rows.begin(), fresh.rows.end(),
+                            [&](const auto& r) { return r.first == device.vendor; });
+    if (row == fresh.rows.end()) {
+      fresh.rows.emplace_back(device.vendor, VendorTally{});
+      row = fresh.rows.end() - 1;
+    }
+    row->second.Add(device, cold);
+    fresh.total.Add(device, cold);
+  }
+  EXPECT_EQ(reused_events, fresh.events);
+  EXPECT_EQ(fresh, RunFleet(devices, kFleetSeed));
 }
 
 TEST(FleetTest, EmptyFleet) {

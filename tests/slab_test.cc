@@ -245,6 +245,120 @@ TEST(SlabTest, DestructorsRunOnDeleteOnly) {
   EXPECT_EQ(Tracked::destroyed, 10);
 }
 
+// Chunk policy: the first chunk holds min(8, N) slots, each later one
+// doubles the last up to N, and capacity()/slab_bytes sum the chunks.
+TEST(SlabChunkTest, ChunksDoubleFromEightUpToN) {
+  static_assert(Slab<Pod, 256>::kFirstChunkSlots == 8);
+  static_assert(Slab<Pod, 8>::kFirstChunkSlots == 8);
+  static_assert(Slab<Pod, 4>::kFirstChunkSlots == 4);
+  Slab<Pod, 64> pool;
+  // Filling each chunk exactly: 8, 16, 32, 64, then 64 per chunk.
+  const size_t chunk_sizes[] = {8, 16, 32, 64, 64, 64};
+  size_t capacity = 0;
+  size_t chunks = 0;
+  for (const size_t size : chunk_sizes) {
+    pool.New();  // first object of a new chunk
+    capacity += size;
+    ++chunks;
+    EXPECT_EQ(pool.slab_count(), chunks);
+    EXPECT_EQ(pool.capacity(), capacity);
+    for (size_t i = 1; i < size; ++i) {
+      pool.New();
+    }
+    EXPECT_EQ(pool.slab_count(), chunks) << "chunk of " << size << " overflowed early";
+    const SlabStats stats = pool.stats();
+    EXPECT_EQ(stats.slabs, chunks);
+    EXPECT_EQ(stats.capacity, capacity);
+    EXPECT_EQ(stats.slab_bytes, capacity * sizeof(Pod));
+    EXPECT_EQ(stats.live, capacity) << "every slot handed out";
+  }
+}
+
+TEST(SlabChunkTest, SmallPoolsKeepFixedChunks) {
+  Slab<Pod, 4> pool;
+  for (int i = 0; i < 10; ++i) {
+    pool.New();
+  }
+  EXPECT_EQ(pool.slab_count(), 3u);
+  EXPECT_EQ(pool.capacity(), 12u);
+}
+
+// Churn under a fixed high-water mark, in random order: the freelist absorbs
+// every reallocation, so the chunks never change.
+TEST(SlabChunkTest, PoolNeverGrowsPastHighWaterMark) {
+  Slab<Pod, 64> pool;
+  std::vector<Pod*> live;
+  for (int i = 0; i < 50; ++i) {
+    live.push_back(pool.New());
+  }
+  const size_t chunks = pool.slab_count();
+  const size_t capacity = pool.capacity();
+  EXPECT_EQ(capacity, 8u + 16u + 32u);
+  std::mt19937_64 rng(13);
+  for (int step = 0; step < 20000; ++step) {
+    if (live.size() < 50 && (live.empty() || rng() % 2 == 0)) {
+      live.push_back(pool.New());
+    } else {
+      const size_t victim = rng() % live.size();
+      pool.Delete(live[victim]);
+      live[victim] = live.back();
+      live.pop_back();
+    }
+    ASSERT_EQ(pool.slab_count(), chunks) << "step " << step;
+  }
+  EXPECT_EQ(pool.capacity(), capacity);
+  EXPECT_EQ(pool.peak(), 50u);
+}
+
+// Reset keeps every chunk and carves them again in the same order, so a
+// reused pool hands out the same addresses as the first time; Release frees
+// the chunks and starts over from a first-size chunk.
+TEST(SlabChunkTest, ResetKeepsChunksReleaseFreesThem) {
+  Slab<Pod, 32> pool;
+  std::vector<Pod*> first;
+  for (int i = 0; i < 40; ++i) {
+    first.push_back(pool.New());
+  }
+  const size_t chunks = pool.slab_count();
+  EXPECT_EQ(chunks, 3u);  // 8 + 16 + 32 slots
+  pool.Reset();
+  EXPECT_EQ(pool.live(), 0u);
+  EXPECT_EQ(pool.slab_count(), chunks);
+  EXPECT_EQ(pool.capacity(), 56u);
+  for (int i = 0; i < 40; ++i) {
+    EXPECT_EQ(pool.New(), first[i]) << "slot " << i;
+  }
+  EXPECT_EQ(pool.slab_count(), chunks);
+  pool.Release();
+  EXPECT_EQ(pool.slab_count(), 0u);
+  EXPECT_EQ(pool.capacity(), 0u);
+  pool.New();
+  EXPECT_EQ(pool.slab_count(), 1u);
+  EXPECT_EQ(pool.capacity(), 8u);
+}
+
+// Slots are carved one by one as New() needs them, never threaded onto the
+// freelist ahead of use: after a Reset, handing out one slot leaves every
+// other slot's bytes exactly as their last objects left them.
+TEST(SlabChunkTest, NoSlotIsWrittenBeforeNew) {
+  Slab<Pod, 8> pool;
+  std::vector<Pod*> objs;
+  for (int i = 0; i < 8; ++i) {
+    Pod* p = pool.New();
+    p->a = 0xA5A5A5A5A5A5A5A5ULL + static_cast<uint64_t>(i);
+    p->b = 0x5A5A5A5Au;
+    objs.push_back(p);
+  }
+  pool.Reset();
+  Pod* reused = pool.New();
+  ASSERT_EQ(reused, objs[0]);
+  for (int i = 1; i < 8; ++i) {
+    EXPECT_EQ(objs[i]->a, 0xA5A5A5A5A5A5A5A5ULL + static_cast<uint64_t>(i))
+        << "slot " << i << " was written before New()";
+    EXPECT_EQ(objs[i]->b, 0x5A5A5A5Au) << "slot " << i;
+  }
+}
+
 TEST(SlabPtrTest, ScopedLifetime) {
   Tracked::constructed = Tracked::destroyed = 0;
   Slab<Tracked, 4> pool;

@@ -4,8 +4,10 @@
 
 #include <map>
 #include <set>
+#include <vector>
 
 #include "src/util/bytes.h"
+#include "src/util/inline_vector.h"
 #include "src/util/result.h"
 #include "src/util/rng.h"
 
@@ -192,6 +194,56 @@ TEST(BytesTest, EmptyPayloadRoundTrip) {
   EXPECT_TRUE(r.ReadBytes().empty());
   EXPECT_TRUE(r.ok());
   EXPECT_TRUE(r.AtEnd());
+}
+
+// Differential check against std::vector: the same pushes, element for
+// element, through the inline range, the spill to the heap and several
+// doublings, then clear() and refill on the storage already in use.
+TEST(InlineVectorTest, MatchesStdVectorAcrossSpillAndClear) {
+  struct Item {
+    uint64_t key;
+    uint32_t value;
+  };
+  InlineVector<Item, 3> v;
+  std::vector<Item> oracle;
+  for (int round = 0; round < 2; ++round) {
+    for (uint32_t i = 0; i < 40; ++i) {
+      const Item item{0x1000u * (round + 1) + i, i * 7};
+      v.push_back(item);
+      oracle.push_back(item);
+      ASSERT_EQ(v.size(), oracle.size());
+      for (size_t k = 0; k < oracle.size(); ++k) {
+        ASSERT_EQ(v[k].key, oracle[k].key) << "round " << round << " size " << v.size();
+        ASSERT_EQ(v[k].value, oracle[k].value);
+      }
+    }
+    size_t seen = 0;
+    for (const Item& item : v) {
+      EXPECT_EQ(item.key, oracle[seen++].key);
+    }
+    EXPECT_EQ(seen, oracle.size());
+    EXPECT_EQ(v.end() - v.begin(), static_cast<ptrdiff_t>(v.size()));
+    v.clear();
+    oracle.clear();
+    EXPECT_EQ(v.size(), 0u);
+  }
+}
+
+// push_back of one of the vector's own elements at the moment it spills:
+// the value must be read before the old storage is released.
+TEST(InlineVectorTest, PushBackOfOwnElementAcrossSpill) {
+  InlineVector<uint64_t, 2> v;
+  v.push_back(11);
+  v.push_back(22);
+  v.push_back(v[0]);  // spills: v[0] lives in the inline storage being left
+  v.push_back(v[2]);
+  v.push_back(v[1]);  // grows again: v[1] lives in the heap block being freed
+  ASSERT_EQ(v.size(), 5u);
+  EXPECT_EQ(v[0], 11u);
+  EXPECT_EQ(v[1], 22u);
+  EXPECT_EQ(v[2], 11u);
+  EXPECT_EQ(v[3], 11u);
+  EXPECT_EQ(v[4], 22u);
 }
 
 }  // namespace

@@ -15,7 +15,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
+#include <fstream>
 #include <functional>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -323,6 +327,72 @@ TEST(WireArmorFramerTest, DataTierCapAcceptsBulkChunks) {
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].size(), MessageFramer::kMaxDataFrame);
   EXPECT_FALSE(framer.poisoned());
+}
+
+// ---------------------------------------------------------------------------
+// Payload encoders: the send paths build rendezvous and natcheck messages
+// straight into a packet payload; the bytes must equal the reference
+// ByteWriter encoders over every table frame and every committed fuzz
+// corpus input that decodes.
+// ---------------------------------------------------------------------------
+
+std::vector<Bytes> CorpusInputs(const std::string& target) {
+  std::vector<Bytes> inputs;
+  const std::filesystem::path dir = std::filesystem::path(NATPUNCH_FUZZ_CORPUS_DIR) / target;
+  std::vector<std::filesystem::path> files;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    if (entry.is_regular_file()) {
+      files.push_back(entry.path());
+    }
+  }
+  std::sort(files.begin(), files.end());
+  for (const auto& path : files) {
+    std::ifstream in(path, std::ios::binary);
+    inputs.emplace_back(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+  }
+  return inputs;
+}
+
+TEST(WireArmorPayloadTest, RendezvousPayloadEncoderMatchesByteWriter) {
+  std::vector<Bytes> frames = CorpusInputs("rendezvous_message");
+  const size_t corpus_size = frames.size();
+  for (const auto& c : AllCodecs()) {
+    if (c.name.rfind("rendezvous_message", 0) == 0) {
+      frames.insert(frames.end(), c.valid.begin(), c.valid.end());
+    }
+  }
+  size_t compared = 0;
+  for (const Bytes& frame : frames) {
+    for (const bool obfuscate : {false, true}) {
+      const auto msg = DecodeRendezvousMessage(Span(frame), obfuscate);
+      if (!msg) {
+        continue;
+      }
+      EXPECT_EQ(EncodeRendezvousMessagePayload(*msg, obfuscate),
+                EncodeRendezvousMessage(*msg, obfuscate));
+      ++compared;
+    }
+  }
+  EXPECT_GT(corpus_size, 0u);
+  EXPECT_GT(compared, 2 * (frames.size() - corpus_size)) << "no corpus input decoded";
+}
+
+TEST(WireArmorPayloadTest, NatCheckPayloadEncoderMatchesByteWriter) {
+  std::vector<Bytes> frames = CorpusInputs("nc_message");
+  const size_t corpus_size = frames.size();
+  const std::vector<Bytes> table = AllCodecs().front().valid;
+  frames.insert(frames.end(), table.begin(), table.end());
+  size_t compared = 0;
+  for (const Bytes& frame : frames) {
+    const auto msg = DecodeNcMessage(Span(frame));
+    if (!msg) {
+      continue;
+    }
+    EXPECT_EQ(EncodeNcMessagePayload(*msg), EncodeNcMessage(*msg));
+    ++compared;
+  }
+  EXPECT_GT(corpus_size, 0u);
+  EXPECT_GT(compared, table.size()) << "no corpus input decoded";
 }
 
 }  // namespace
