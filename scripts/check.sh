@@ -11,14 +11,15 @@
 #                                    # re-run them (guards RunFleetParallel
 #                                    # against data races)
 #   NATPUNCH_ASAN=1 scripts/check.sh # ...then rebuild the chaos/failure,
-#                                    # event-loop/Lan, timer-wheel, slab and
-#                                    # TCP tests under
+#                                    # event-loop/Lan, timer-wheel, slab, TCP
+#                                    # and core punching tests under
 #                                    # -fsanitize=address,undefined and re-run
 #                                    # them (fault injection, session teardown,
 #                                    # in-flight packets outliving their Lan,
-#                                    # slab slots carved from raw chunks and
-#                                    # the TCP send buffer's consumed prefix
-#                                    # are where lifetime bugs hide)
+#                                    # slab slots carved from raw chunks, the
+#                                    # TCP send buffer's consumed prefix and
+#                                    # punchers outliving their topology are
+#                                    # where lifetime bugs hide)
 #
 # The compiler comes from the standard CC/CXX environment variables (CMake
 # picks them up on a fresh configure); use a distinct BUILD_DIR per compiler
@@ -87,7 +88,8 @@ if [[ "${NATPUNCH_TSAN:-0}" == "1" ]]; then
 fi
 
 if [[ "${NATPUNCH_ASAN:-0}" == "1" ]]; then
-  echo "==== ASan/UBSan pass: rebuilding chaos/failure/netsim/wheel/slab/tcp tests with -fsanitize=address,undefined ===="
-  sanitizer_pass "$ASAN_BUILD_DIR" address,undefined 'Chaos|Failure|EventLoop|Lan|TimerWheel|Slab|Tcp' \
-    chaos_test failure_test netsim_test timer_wheel_test slab_test tcp_test
+  echo "==== ASan/UBSan pass: rebuilding chaos/failure/netsim/wheel/slab/tcp/core tests with -fsanitize=address,undefined ===="
+  sanitizer_pass "$ASAN_BUILD_DIR" address,undefined \
+    'Chaos|Failure|EventLoop|Lan|TimerWheel|TimerDueRun|Slab|Tcp|UdpPunch|Connector|Prediction|Prober|Relay' \
+    chaos_test failure_test netsim_test timer_wheel_test slab_test tcp_test core_test
 fi

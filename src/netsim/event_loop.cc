@@ -130,18 +130,14 @@ void EventLoop::Reset() {
     }
   }
   // Detach every armed timer so its handle reads !pending() and a later
-  // destructor or re-arm is safe. Heap-resident timers are reachable through
-  // their heap keys; wheel-resident ones through the slot lists.
-  for (const HeapEntry& entry : heap_) {
-    if (!IsTimerId(entry.id)) {
-      continue;
-    }
-    TimerHandle** found = heap_timers_.Find(entry.id);
-    if (found != nullptr) {
-      (*found)->state_ = TimerHandle::State::kIdle;
+  // destructor or re-arm is safe. Due timers are reachable through the due
+  // run; wheel-resident ones through the slot lists.
+  for (const DueEntry& entry : due_) {
+    if (entry.timer != nullptr) {
+      entry.timer->state_ = TimerHandle::State::kIdle;
     }
   }
-  heap_timers_.Clear();
+  due_.clear();
   for (int level = 0; level < kWheelLevels; ++level) {
     uint64_t bits = wheel_occupied_[level];
     while (bits != 0) {
@@ -197,20 +193,14 @@ void EventLoop::CompactFront() {
 
 void EventLoop::PopDead() {
   while (!heap_.empty()) {
-    const EventId id = heap_.front().id;
-    if (IsTimerId(id)) {
-      // A timer key whose id is absent from heap_timers_ was cancelled or
-      // re-armed after migrating to the heap; the stale key dies here.
-      if (heap_timers_.Find(id) != nullptr) {
-        return;
-      }
-    } else {
-      Slot* slot = SlotFor(id);
-      if (slot != nullptr && slot->pending()) {
-        return;
-      }
+    const Slot* slot = SlotFor(heap_.front().id);
+    if (slot != nullptr && slot->pending()) {
+      break;
     }
     HeapPopTop();
+  }
+  while (!due_.empty() && due_.back().timer == nullptr) {
+    due_.pop_back();
   }
 }
 
@@ -240,11 +230,11 @@ void EventLoop::ScheduleTimerAt(SimTime at, TimerHandle* timer) {
   ++live_;
   obs::Set(metric_heap_depth_, static_cast<int64_t>(live_));
   // A deadline landing in an already-flushed slot (or any deadline with the
-  // wheel disabled) goes straight to the heap with its original key; the
-  // ordering argument never depends on which tier admitted the timer.
+  // wheel disabled) goes straight into the due run with its original key;
+  // the ordering argument never depends on which tier admitted the timer.
   if (!wheel_enabled_ || SlotIndexFor(t) < wheel_cursor_) {
-    obs::Inc(metric_timers_heap_);
-    TimerToHeap(timer);
+    obs::Inc(metric_timers_due_);
+    DueInsert(timer);
   } else {
     obs::Inc(metric_timers_wheel_);
     WheelFile(timer);
@@ -258,8 +248,8 @@ bool EventLoop::CancelTimer(TimerHandle* timer) {
     case TimerHandle::State::kInWheel:
       WheelUnlink(timer);
       break;
-    case TimerHandle::State::kInHeap:
-      heap_timers_.Erase(timer->id_);  // the heap key dies lazily in PopDead
+    case TimerHandle::State::kDue:
+      DueCancel(timer);  // the nulled entry dies lazily in PopDead
       break;
   }
   timer->state_ = TimerHandle::State::kIdle;
@@ -267,10 +257,16 @@ bool EventLoop::CancelTimer(TimerHandle* timer) {
   return true;
 }
 
-void EventLoop::TimerToHeap(TimerHandle* timer) {
-  timer->state_ = TimerHandle::State::kInHeap;
-  HeapPush(HeapEntry{timer->deadline_, timer->id_});
-  heap_timers_.InsertOrAssign(timer->id_, timer);
+void EventLoop::DueInsert(TimerHandle* timer) {
+  timer->state_ = TimerHandle::State::kDue;
+  const DueEntry entry{{timer->deadline_, timer->id_}, timer};
+  // Latest-first: the entries before the insertion point are due later.
+  due_.insert(std::lower_bound(due_.begin(), due_.end(), entry, Later{}), entry);
+}
+
+void EventLoop::DueCancel(TimerHandle* timer) {
+  const DueEntry key{{timer->deadline_, timer->id_}, nullptr};
+  std::lower_bound(due_.begin(), due_.end(), key, Later{})->timer = nullptr;
 }
 
 void EventLoop::WheelFile(TimerHandle* timer) {
@@ -335,12 +331,17 @@ void EventLoop::WheelFlushSlot(uint64_t slot) {
   while (t != nullptr) {
     TimerHandle* next = t->next_;
     t->prev_ = t->next_ = nullptr;
+    t->state_ = TimerHandle::State::kDue;
     --wheel_size_;
-    // The heap re-sorts by the original (deadline, id) key, so the arbitrary
-    // slot-list order here is invisible to the dispatch sequence.
-    TimerToHeap(t);
+    due_.push_back(DueEntry{{t->deadline_, t->id_}, t});
     t = next;
   }
+  // The sort restores the (deadline, id) order, so the arbitrary slot-list
+  // order above is invisible to the dispatch sequence. PrepareTop flushes
+  // only once the run is empty (anything left in it would be due before
+  // this slot starts), so the sort sees little more than the slot's own
+  // entries.
+  std::sort(due_.begin(), due_.end(), Later{});
 }
 
 void EventLoop::WheelCascade(int level) {
@@ -470,35 +471,39 @@ int64_t EventLoop::WheelLowerBound() {
 bool EventLoop::PrepareTop(int64_t limit) {
   for (;;) {
     PopDead();
+    int64_t top = heap_.empty() ? kNever : heap_.front().time;
+    if (!due_.empty()) {
+      top = std::min(top, due_.back().key.time);
+    }
     if (wheel_size_ != 0) {
-      const int64_t top = heap_.empty() ? kNever : heap_.front().time;
       const int64_t lb = WheelLowerBound();
-      // A wheel timer might precede (or tie) the heap top: flush its slot
-      // into the heap and re-evaluate. Equal times flush too — the wheel
-      // entry may carry a smaller sequence than the heap top.
+      // A wheel timer might precede (or tie) the next event: flush its slot
+      // into the due run and re-evaluate. Equal times flush too — the wheel
+      // entry may carry a smaller sequence than the current next event.
       if (lb <= top && lb <= limit) {
         WheelAdvanceTo(lb);
         continue;
       }
     }
-    return !heap_.empty() && heap_.front().time <= limit;
+    return (!heap_.empty() || !due_.empty()) && top <= limit;
   }
 }
 
 void EventLoop::DispatchTop() {
-  const HeapEntry top = heap_.front();
-  HeapPopTop();
-  if (IsTimerId(top.id)) {
-    TimerHandle* timer = *heap_timers_.Find(top.id);
-    heap_timers_.Erase(top.id);
+  if (!due_.empty() && (heap_.empty() || Earlier(due_.back().key, heap_.front()))) {
+    const DueEntry top = due_.back();
+    due_.pop_back();
+    TimerHandle* timer = top.timer;
     timer->state_ = TimerHandle::State::kIdle;
     --live_;
-    now_ = SimTime(top.time);
+    now_ = SimTime(top.key.time);
     ++events_processed_;
     obs::Inc(metric_dispatched_);
     timer->thunk_(timer);  // may re-arm the handle
     return;
   }
+  const HeapEntry top = heap_.front();
+  HeapPopTop();
   Slot* slot = SlotFor(top.id);
   --live_;
   now_ = SimTime(top.time);

@@ -19,17 +19,21 @@
 //    watchdogs, TURN refresh, scripted faults). A handle embeds its list
 //    links, deadline, and a member-function thunk in the owning object, so
 //    arming a timer allocates nothing and dispatch is one indirect call — no
-//    std::function, no type erasure. Far-out timers are parked in a
-//    hierarchical timing wheel (4 levels x 64 slots) and only migrate into
-//    the heap shortly before they are due, so a million armed keepalives
-//    cost the heap nothing until their slot comes up.
+//    std::function, no type erasure. Timers never enter the heap: they are
+//    parked in a hierarchical timing wheel (4 levels x 64 slots) and, when
+//    the clock reaches their level-0 slot, move into the *due run* — one
+//    vector of (time, id, handle) entries sorted by (time, id). Dispatch
+//    takes the earlier of the heap top and the due run's head, so a million
+//    armed keepalives cost the heap nothing at all.
 //
-// The wheel is a staging area, never a dispatch path: every timer enters the
-// heap carrying its original (time, sequence) key before the clock reaches
-// its slot, so the pop sequence is byte-identical to a heap-only scheduler
-// (SetTimerWheelEnabled(false) is the differential oracle for exactly that
-// claim). All kinds of event share the sequence counter, so cross-tier ties
-// at the same instant also fire in schedule order.
+// The wheel is a staging area, never a dispatch path: a slot is flushed into
+// the due run, keyed by each timer's original (time, sequence), before the
+// clock can pass the slot's start, so the dispatch sequence is
+// byte-identical to a single totally ordered queue. With the wheel off
+// (SetTimerWheelEnabled(false), the differential oracle for exactly that
+// claim) every timer goes straight into the due run by sorted insert. All
+// kinds of event share the sequence counter, so cross-tier ties at the same
+// instant also fire in schedule order.
 //
 // Reserved events (ReserveEvent/ArmReserved) let an owner that keeps its own
 // time-ordered queue take part in that order without putting every entry in
@@ -46,17 +50,17 @@
 // when the head fires the owner arms its successor (never earlier than the
 // head) before anything later can pop. A reserved event dispatches through
 // its ring slot (one indirect call to its owner), never through the timer
-// tier's id -> handle map and never via the wheel.
+// tier and never via the wheel.
 
 #ifndef SRC_NETSIM_EVENT_LOOP_H_
 #define SRC_NETSIM_EVENT_LOOP_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <vector>
 
 #include "src/netsim/sim_time.h"
-#include "src/util/flat_hash.h"
 
 namespace natpunch {
 
@@ -108,9 +112,9 @@ class TimerHandle {
   friend class EventLoop;
 
   enum class State : uint8_t {
-    kIdle,    // not armed
-    kInWheel, // linked into a wheel slot (or the overflow list)
-    kInHeap,  // migrated to the heap; heap_timers_ maps id -> this
+    kIdle,     // not armed
+    kInWheel,  // linked into a wheel slot (or the overflow list)
+    kDue,      // in the loop's due run, found by its (deadline_, id_) key
   };
 
   EventLoop* loop_ = nullptr;
@@ -131,6 +135,14 @@ class EventLoop {
  public:
   using EventId = uint64_t;
   static constexpr EventId kInvalidEventId = 0;
+
+  // Timer wheel geometry: kWheelLevels levels of 2^kWheelSlotBits slots
+  // over a 2^kWheelGranularityBits us base slot (see "Hierarchical timing
+  // wheel" below). Public so tests can derive slot, window and horizon
+  // sizes instead of hardcoding them.
+  static constexpr int kWheelLevels = 4;
+  static constexpr int kWheelSlotBits = 6;
+  static constexpr int kWheelGranularityBits = 17;
 
   EventLoop() = default;
   EventLoop(const EventLoop&) = delete;
@@ -183,8 +195,8 @@ class EventLoop {
   void ArmReserved(SimTime at, EventId id) { HeapPush(HeapEntry{at.micros(), id}); }
   void CancelReserved(EventId id);
 
-  // Differential oracle switch: with the wheel off, timers go straight to
-  // the heap at schedule time. Either mode produces the identical dispatch
+  // Differential oracle switch: with the wheel off, timers go straight into
+  // the due run at schedule time. Either mode produces the identical dispatch
   // sequence; tests compare trace dumps across the two to prove it. Flip
   // only while no timers are pending. Survives Reset().
   void SetTimerWheelEnabled(bool enabled) { wheel_enabled_ = enabled; }
@@ -206,11 +218,11 @@ class EventLoop {
   bool idle() const { return live_ == 0; }
   size_t pending_count() const { return live_; }
   uint64_t events_processed() const { return events_processed_; }
-  // Timers currently parked in the wheel (not yet migrated to the heap).
+  // Timers currently parked in the wheel (not yet flushed to the due run).
   size_t wheel_pending() const { return wheel_size_; }
 
   // Return to the pristine just-constructed state (clock at 0, no pending
-  // events, counters zeroed) while KEEPING the heap, ring, and timer-map
+  // events, counters zeroed) while KEEPING the heap, ring, and due-run
   // capacities, so a reused loop schedules without allocating. Pending
   // closures are destroyed, reserved events are dropped through their
   // owners' DropReserved, and armed timers detach (their handles read
@@ -222,17 +234,17 @@ class EventLoop {
 
   // Observability hookup (Network::EnableMetrics): `dispatched` counts every
   // fired event, `heap_depth` tracks the pending-event level and its
-  // high-water mark, `timers_wheel`/`timers_heap` split timer arms by which
-  // tier admitted them, and `wheel_cascades` counts entries re-filed when a
-  // higher wheel level spills into a lower one. Any may be null; recording
-  // is allocation-free.
+  // high-water mark, `timers_wheel`/`timers_due` split timer arms by which
+  // tier admitted them (the wheel, or straight into the due run), and
+  // `wheel_cascades` counts entries re-filed when a higher wheel level
+  // spills into a lower one. Any may be null; recording is allocation-free.
   void AttachMetrics(obs::Counter* dispatched, obs::Gauge* heap_depth,
-                     obs::Counter* timers_wheel = nullptr, obs::Counter* timers_heap = nullptr,
+                     obs::Counter* timers_wheel = nullptr, obs::Counter* timers_due = nullptr,
                      obs::Counter* wheel_cascades = nullptr) {
     metric_dispatched_ = dispatched;
     metric_heap_depth_ = heap_depth;
     metric_timers_wheel_ = timers_wheel;
-    metric_timers_heap_ = timers_heap;
+    metric_timers_due_ = timers_due;
     metric_wheel_cascades_ = wheel_cascades;
   }
 
@@ -251,7 +263,8 @@ class EventLoop {
   static bool Earlier(const HeapEntry& a, const HeapEntry& b) {
     return a.time < b.time || (a.time == b.time && a.id < b.id);
   }
-  // 4-ary min-heap primitives over heap_; the minimum sits at heap_[0].
+  // 4-ary min-heap primitives over heap_; the minimum sits at heap_[0]. The
+  // heap holds closure events and armed reserved events, never timers.
   void HeapPush(HeapEntry entry);
   void HeapPopTop();
 
@@ -267,17 +280,16 @@ class EventLoop {
 
   // --- Hierarchical timing wheel (timer staging tier) -----------------------
   //
-  // Geometry: 4 levels of 64 slots at a 2^14 us (~16.4 ms) base granularity.
-  // Level k slot spans 64^k base slots, so the horizons are ~1.05 s, ~67 s,
-  // ~72 min, and ~76 h; anything farther sits in an intrusive overflow list
-  // rescanned each time the clock enters a new level-3 window. wheel_cursor_
-  // is the absolute level-0 slot index of the next unflushed slot: every
-  // slot below it has already been migrated into the heap, and a timer whose
-  // slot is below the cursor is admitted straight to the heap.
-  static constexpr int kWheelLevels = 4;
-  static constexpr int kWheelSlotBits = 6;
+  // Geometry: 4 levels of 64 slots at a 2^17 us (~131 ms) base granularity.
+  // Level k slot spans 64^k base slots, so the horizons are ~8.4 s, ~9 min,
+  // ~9.5 h, and ~25 days; anything farther sits in an intrusive overflow
+  // list rescanned each time the clock enters a new level-3 window. The
+  // level-0 horizon covers the punchers' 4-6 s keepalives, so they file
+  // straight into level 0 and never cascade. wheel_cursor_ is the absolute
+  // level-0 slot index of the next unflushed slot: every slot below it has
+  // already been flushed into the due run, and a timer whose slot is below
+  // the cursor is inserted straight into the due run.
   static constexpr uint64_t kWheelSlots = 1ull << kWheelSlotBits;
-  static constexpr int kWheelGranularityBits = 14;
   static constexpr uint8_t kOverflowLevel = kWheelLevels;
 
   static uint64_t SlotIndexFor(int64_t time_micros) {
@@ -288,7 +300,7 @@ class EventLoop {
   // cursor (or the overflow list past the level-3 horizon).
   void WheelFile(TimerHandle* timer);
   void WheelUnlink(TimerHandle* timer);
-  // Migrate every entry of level-0 slot `slot` into the heap.
+  // Move every entry of level-0 slot `slot` into the due run.
   void WheelFlushSlot(uint64_t slot);
   // Re-file every entry of level `level`'s slot covering the cursor; runs
   // when the cursor enters a new level-`level` window.
@@ -300,29 +312,50 @@ class EventLoop {
   // there so covering slots never hold current-window entries between
   // advances.
   void WheelBoundaryCascade();
-  // Flush all slots whose start time is <= `time_micros` into the heap.
+  // Flush all slots whose start time is <= `time_micros` into the due run.
   void WheelAdvanceTo(int64_t time_micros);
   // Earliest possible deadline of any wheel-resident timer (slot start times
   // lower-bound the deadlines inside), or INT64_MAX when the wheel is empty.
   int64_t WheelLowerBound();
 
-  // Move the timer into the heap tier: push its (deadline, id) key and index
-  // the handle by id so cancellation and dispatch can find it.
-  void TimerToHeap(TimerHandle* timer);
+  // --- Due run ---------------------------------------------------------------
+  //
+  // Timers whose level-0 slot has been flushed, stored latest-first so the
+  // next one due sits at back() and pops without moving the rest. Keys are
+  // unique and never change while an entry exists, so a cancel finds its
+  // entry by binary search on the handle's own (deadline_, id_) and nulls
+  // `timer`; a nulled entry is dropped when it reaches the back. A flushed
+  // slot's deadlines are all later than every entry already in the run, and
+  // a sorted insert (a timer armed into an already-flushed slot, or any
+  // timer with the wheel off) moves only the entries due before it.
+  struct DueEntry {
+    HeapEntry key;       // {deadline, timer event id}
+    TimerHandle* timer;  // null once cancelled
+  };
+  // The due run's order, Earlier reversed (a functor, so std::sort and
+  // std::lower_bound inline it).
+  struct Later {
+    bool operator()(const DueEntry& a, const DueEntry& b) const { return Earlier(b.key, a.key); }
+  };
+  // Insert an armed handle at its (deadline, id) position.
+  void DueInsert(TimerHandle* timer);
+  // Null the entry of a kDue handle.
+  void DueCancel(TimerHandle* timer);
 
-  // Ensure the heap top is the globally next event (all wheel slots at or
-  // before its time flushed) and due at or before `limit`. Returns false if
-  // nothing is due by `limit`.
+  // Ensure the earlier of the heap top and the due run's back is the
+  // globally next event (all wheel slots at or before its time flushed) and
+  // due at or before `limit`. Returns false if nothing is due by `limit`.
   bool PrepareTop(int64_t limit);
 
   // Slot for a closure event id, or nullptr if the id was never issued /
   // already retired out of the window.
   Slot* SlotFor(EventId id);
-  // Pop and run the heap top. Precondition: PrepareTop() returned true (the
-  // top is live and every earlier timer has been flushed from the wheel).
+  // Pop and run the next event: the earlier of the heap top and the due
+  // run's back. Precondition: PrepareTop() returned true (both are live and
+  // every earlier timer has been flushed from the wheel).
   void DispatchTop();
-  // Drop dead entries off the heap top: tombstoned closure slots and timer
-  // ids no longer present in heap_timers_ (cancelled or re-armed).
+  // Drop tombstoned closure slots off the heap top and cancelled entries
+  // off the due run's back.
   void PopDead();
   // Retire fully-processed slots from the front of the sequence window.
   void CompactFront();
@@ -338,12 +371,10 @@ class EventLoop {
   std::vector<Slot> slots_;  // ring buffer; size is a power of two
   size_t ring_mask_ = 0;     // slots_.size() - 1
 
-  // Timer tier state. heap_timers_ maps the id of every live heap-resident
-  // timer to its handle; a heap entry whose id misses the map is a stale key
-  // from a cancel/re-arm and is dropped by PopDead. Indexing by id (not
-  // handle pointer) makes a destroyed owner harmless: its destructor erases
-  // the mapping and the orphaned heap key can never reach freed memory.
-  FlatHashMap<uint64_t, TimerHandle*> heap_timers_;
+  // Timer tier state. A destroyed owner is harmless: its handle's
+  // destructor nulls its due entry (or unlinks it from the wheel), so no
+  // entry can reach freed memory.
+  std::vector<DueEntry> due_;  // latest-first; the next due timer is back()
   TimerHandle* wheel_slots_[kWheelLevels][kWheelSlots] = {};
   uint64_t wheel_occupied_[kWheelLevels] = {};  // per-level slot bitmaps
   TimerHandle* overflow_head_ = nullptr;
@@ -355,7 +386,7 @@ class EventLoop {
   obs::Counter* metric_dispatched_ = nullptr;
   obs::Gauge* metric_heap_depth_ = nullptr;
   obs::Counter* metric_timers_wheel_ = nullptr;
-  obs::Counter* metric_timers_heap_ = nullptr;
+  obs::Counter* metric_timers_due_ = nullptr;
   obs::Counter* metric_wheel_cascades_ = nullptr;
 };
 

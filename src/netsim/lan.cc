@@ -40,15 +40,61 @@ Lan::~Lan() {
 
 void Lan::Attach(Node* node, int iface, Ipv4Address ip) {
   attachments_.push_back(Attachment{node, iface, ip});
+  if (attachments_.size() <= kIndexedAttachments) {
+    return;
+  }
+  // The first Attach past the threshold indexes every attachment so far.
+  // FindOrInsert leaves an existing entry alone, so the index keeps each
+  // address's first owner.
+  for (size_t i = ip_index_.empty() ? 0 : attachments_.size() - 1; i < attachments_.size(); ++i) {
+    bool inserted = false;
+    uint32_t* owner = ip_index_.FindOrInsert(attachments_[i].ip.bits(), &inserted);
+    if (inserted) {
+      *owner = static_cast<uint32_t>(i);
+    }
+  }
 }
 
 bool Lan::HasAddress(Ipv4Address ip) const {
+  if (!ip_index_.empty()) {
+    return ip_index_.Contains(ip.bits());
+  }
   for (const auto& a : attachments_) {
     if (a.ip == ip) {
       return true;
     }
   }
   return false;
+}
+
+const Lan::Attachment* Lan::Resolve(const Node* sender, Ipv4Address next_hop) const {
+  if (!ip_index_.empty()) {
+    const uint32_t* first = ip_index_.Find(next_hop.bits());
+    if (first == nullptr) {
+      return nullptr;
+    }
+    if (attachments_[*first].node != sender) {
+      return &attachments_[*first];
+    }
+    // The first owner is the sender itself: another node may share the
+    // address, which only the scan below can find.
+  }
+  // Single scan: prefer an attachment owning next_hop on another node, but
+  // remember the first owner of any kind so a node may legitimately address
+  // itself (loopback-style) when nothing else matches.
+  const Attachment* target = nullptr;
+  for (const auto& a : attachments_) {
+    if (a.ip != next_hop) {
+      continue;
+    }
+    if (a.node != sender) {
+      return &a;
+    }
+    if (target == nullptr) {
+      target = &a;
+    }
+  }
+  return target;
 }
 
 void Lan::Transmit(Node* sender, Ipv4Address next_hop, Packet&& packet) {
@@ -79,22 +125,7 @@ void Lan::Transmit(Node* sender, Ipv4Address next_hop, Packet&& packet) {
     }
   }
 
-  // Single scan: prefer an attachment owning next_hop on another node, but
-  // remember the first owner of any kind so a node may legitimately address
-  // itself (loopback-style) when nothing else matches.
-  const Attachment* target = nullptr;
-  for (const auto& a : attachments_) {
-    if (a.ip != next_hop) {
-      continue;
-    }
-    if (a.node != sender) {
-      target = &a;
-      break;
-    }
-    if (target == nullptr) {
-      target = &a;
-    }
-  }
+  const Attachment* target = Resolve(sender, next_hop);
   if (target == nullptr) {
     const TraceEvent event = (config_.is_global && packet.dst_ip.IsPrivate())
                                  ? TraceEvent::kDropPrivateLeak
@@ -194,7 +225,11 @@ uint32_t Lan::AcquireSlot() {
 }
 
 void Lan::ReleaseSlot(uint32_t slot) {
-  delivery(slot).next = free_;
+  PendingDelivery& d = delivery(slot);
+  if (!d.packet.payload.is_inline()) {
+    d.packet.payload = Payload();
+  }
+  d.next = free_;
   free_ = slot;
 }
 
@@ -245,9 +280,11 @@ void Lan::Mangle(Packet& packet, SimDuration& extra, bool& duplicate) {
 void Lan::FireReserved() {
   // The loop dispatched the head's key. Unlink it and arm its successor
   // under the id that one reserved at transmit time (unless it was armed
-  // when it became a head on insertion); then move everything out and
-  // release the slot before delivering: HandlePacket may re-enter Transmit
-  // on this same Lan.
+  // when it became a head on insertion), then hand the packet to the node
+  // straight from its slot and release the slot afterwards. HandlePacket
+  // may re-enter Transmit on this same Lan: the slot is off the in-flight
+  // list and not yet free, so that Transmit takes another slot, and chunks
+  // never move, so `d` stays valid.
   const uint32_t slot = head_;
   PendingDelivery& d = delivery(slot);
   head_ = d.next;
@@ -264,10 +301,9 @@ void Lan::FireReserved() {
   const Attachment& to = attachments_[d.target];
   Node* const node = to.node;
   const int iface = to.iface;
-  Packet packet = std::move(d.packet);
+  network_->trace().Record(network_->now(), node->trace_id(), TraceEvent::kDeliver, d.packet);
+  node->HandlePacket(iface, std::move(d.packet));
   ReleaseSlot(slot);
-  network_->trace().Record(network_->now(), node->trace_id(), TraceEvent::kDeliver, packet);
-  node->HandlePacket(iface, std::move(packet));
 }
 
 void Lan::DropReserved() {
@@ -276,7 +312,6 @@ void Lan::DropReserved() {
   while (head_ != kNoSlot) {
     const uint32_t slot = head_;
     head_ = delivery(slot).next;
-    delivery(slot).packet = Packet{};
     ReleaseSlot(slot);
   }
   tail_ = kNoSlot;

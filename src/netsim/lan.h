@@ -20,6 +20,7 @@
 #include "src/netsim/packet.h"
 #include "src/netsim/sim_time.h"
 #include "src/netsim/trace.h"
+#include "src/util/flat_hash.h"
 #include "src/util/inline_vector.h"
 
 namespace natpunch {
@@ -123,6 +124,11 @@ class Lan final : private EventLoop::ReservedOwner {
   };
 
   static constexpr uint32_t kNoSlot = UINT32_MAX;
+  // Past this many attachments (the global realm: every NAT and server) a
+  // Lan indexes its addresses instead of scanning them per packet. Smaller
+  // Lans, the many private segments of fleet worlds, build no index and
+  // allocate nothing for it.
+  static constexpr size_t kIndexedAttachments = 8;
 
   // An in-flight delivery parked in a pooled slot. Its event id is reserved
   // at transmit time, so it keeps the (time, sequence) key a scheduled
@@ -139,6 +145,11 @@ class Lan final : private EventLoop::ReservedOwner {
   static_assert(sizeof(PendingDelivery) <= 168,
                 "in-flight delivery footprint budget; see DESIGN.md Memory footprint");
 
+  // The attachment a packet for `next_hop` sent by `sender` goes to: one
+  // owning next_hop on another node if there is one, else the first owner
+  // (a node may address itself), else null.
+  const Attachment* Resolve(const Node* sender, Ipv4Address next_hop) const;
+
   // EventLoop::ReservedOwner: the armed head is due / the loop was Reset.
   void FireReserved() override;
   void DropReserved() override;
@@ -152,6 +163,9 @@ class Lan final : private EventLoop::ReservedOwner {
   // `duplicate` whether a second copy must be scheduled.
   void Mangle(Packet& packet, SimDuration& extra, bool& duplicate);
   uint32_t AcquireSlot();
+  // Returns a delivered (or dropped) slot to the free list. Frees a
+  // heap-spilled payload the receiver did not take, so an idle slot never
+  // pins a jumbo buffer.
   void ReleaseSlot(uint32_t slot);
   // Chunk k holds kFirstChunk << k slots and starts at slot
   // kFirstChunk * (2^k - 1).
@@ -168,6 +182,9 @@ class Lan final : private EventLoop::ReservedOwner {
   bool burst_bad_ = false;  // Gilbert-Elliott channel state
   // A private LAN (a NAT and its host) fits inline; the global realm spills.
   InlineVector<Attachment, 2> attachments_;
+  // ip -> index of its first attachment; built once the Lan has more than
+  // kIndexedAttachments attachments, empty (and unallocated) before that.
+  FlatHashMap<uint32_t, uint32_t> ip_index_;
   SimTime medium_free_at_;  // when the shared medium finishes its last frame
   uint64_t packets_ = 0;
   uint64_t bytes_ = 0;

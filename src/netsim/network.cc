@@ -21,7 +21,7 @@ obs::MetricsRegistry* Network::EnableMetrics() {
     loop_.AttachMetrics(metrics_->GetCounter("loop.events_dispatched"),
                         metrics_->GetGauge("loop.heap_depth"),
                         metrics_->GetCounter("loop.timers_wheel"),
-                        metrics_->GetCounter("loop.timers_heap"),
+                        metrics_->GetCounter("loop.timers_due"),
                         metrics_->GetCounter("loop.wheel_cascades"));
   }
   return metrics_.get();

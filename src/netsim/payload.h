@@ -136,8 +136,10 @@ class Payload {
       heap_capacity_ = other.heap_capacity_;
       other.heap_capacity_ = 0;
     } else {
+      // The whole fixed-size buffer: a constant-size copy compiles to a few
+      // vector moves, where copying size_ bytes is a libc memcpy call.
       heap_capacity_ = 0;
-      if (other.size_ > 0) std::memcpy(inline_, other.inline_, other.size_);
+      std::memcpy(inline_, other.inline_, kInlineCapacity);
     }
     size_ = other.size_;
     other.size_ = 0;

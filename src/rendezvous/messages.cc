@@ -39,7 +39,8 @@ uint8_t* PutEndpoint(uint8_t* p, const Endpoint& ep, bool obfuscate) {
 
 }  // namespace
 
-Payload EncodeRendezvousMessagePayload(const RendezvousMessage& msg, bool obfuscate_addresses) {
+Payload EncodeRendezvousMessagePayload(const RendezvousMessage& msg, bool obfuscate_addresses,
+                                       uint64_t epoch) {
   // The ByteWriter layout of EncodeRendezvousMessage, stored in place: a
   // keepalive or ack (no payload) is 50 bytes and stays inline.
   const auto len = static_cast<uint16_t>(msg.payload.size());
@@ -53,7 +54,7 @@ Payload EncodeRendezvousMessagePayload(const RendezvousMessage& msg, bool obfusc
   p = Put(p, msg.client_id, 8);
   p = Put(p, msg.target_id, 8);
   p = Put(p, msg.nonce, 8);
-  p = Put(p, msg.epoch, 8);
+  p = Put(p, epoch, 8);
   p = PutEndpoint(p, msg.public_ep, obfuscate_addresses);
   p = PutEndpoint(p, msg.private_ep, obfuscate_addresses);
   p = Put(p, len, 2);

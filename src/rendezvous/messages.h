@@ -65,7 +65,14 @@ Bytes EncodeRendezvousMessage(const RendezvousMessage& msg, bool obfuscate_addre
 // Byte-identical to EncodeRendezvousMessage, built straight into a packet
 // payload; the form the client and server send. A message without payload
 // (a keepalive, an ack) fits inline, so a UDP send of one never allocates.
-Payload EncodeRendezvousMessagePayload(const RendezvousMessage& msg, bool obfuscate_addresses);
+// The three-argument form writes `epoch` in place of msg.epoch, so a sender
+// that stamps its own epoch need not copy the message (payload included).
+Payload EncodeRendezvousMessagePayload(const RendezvousMessage& msg, bool obfuscate_addresses,
+                                       uint64_t epoch);
+inline Payload EncodeRendezvousMessagePayload(const RendezvousMessage& msg,
+                                              bool obfuscate_addresses) {
+  return EncodeRendezvousMessagePayload(msg, obfuscate_addresses, msg.epoch);
+}
 std::optional<RendezvousMessage> DecodeRendezvousMessage(ConstByteSpan data,
                                                          bool obfuscate_addresses);
 

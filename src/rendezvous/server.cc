@@ -85,16 +85,13 @@ RendezvousServer::ClientRecord& RendezvousServer::GetOrCreateClient(uint64_t cli
 }
 
 void RendezvousServer::SendUdp(const Endpoint& to, const RendezvousMessage& msg) {
-  RendezvousMessage stamped = msg;
-  stamped.epoch = epoch_;
-  udp_socket_->SendTo(to, EncodeRendezvousMessagePayload(stamped, options_.obfuscate_addresses));
+  udp_socket_->SendTo(to,
+                      EncodeRendezvousMessagePayload(msg, options_.obfuscate_addresses, epoch_));
 }
 
 void RendezvousServer::SendTcp(TcpPeer* peer, const RendezvousMessage& msg) {
-  RendezvousMessage stamped = msg;
-  stamped.epoch = epoch_;
-  peer->socket->Send(
-      MessageFramer::Frame(EncodeRendezvousMessagePayload(stamped, options_.obfuscate_addresses)));
+  peer->socket->Send(MessageFramer::Frame(
+      EncodeRendezvousMessagePayload(msg, options_.obfuscate_addresses, epoch_)));
 }
 
 void RendezvousServer::SendShard(uint32_t shard, ShardMessage msg) {

@@ -706,6 +706,76 @@ TEST(LanTest, LoopResetStrandsNoLaterTransmit) {
   EXPECT_TRUE(net.event_loop().idle());
 }
 
+TEST(LanTest, IndexedLanDeliversToEveryOwner) {
+  // More attachments than a Lan scans (the global realm's case): the ip
+  // index must route every address to its owner and miss absent ones.
+  Network net(1);
+  net.trace().set_enabled(true);
+  Lan* lan = net.CreateLan("wide", LanConfig{.latency = Millis(1)});
+  std::vector<SinkNode*> nodes;
+  for (uint8_t i = 1; i <= 12; ++i) {
+    auto* n = net.Create<SinkNode>("n" + std::to_string(i));
+    n->AttachTo(lan, Ipv4Address::FromOctets(10, 0, 0, i));
+    nodes.push_back(n);
+  }
+  for (uint8_t i = 1; i <= 12; ++i) {
+    EXPECT_TRUE(lan->HasAddress(Ipv4Address::FromOctets(10, 0, 0, i)));
+  }
+  EXPECT_FALSE(lan->HasAddress(Ipv4Address::FromOctets(10, 0, 0, 99)));
+  for (uint8_t i = 2; i <= 12; ++i) {
+    Packet p;
+    p.id = i;
+    p.set_dst(Endpoint(Ipv4Address::FromOctets(10, 0, 0, i), 9));
+    lan->Transmit(nodes[0], p.dst_ip, std::move(p));
+  }
+  Packet stray;
+  stray.set_dst(Endpoint(Ipv4Address::FromOctets(10, 0, 0, 99), 9));
+  lan->Transmit(nodes[0], stray.dst_ip, std::move(stray));
+  net.RunUntilIdle();
+  EXPECT_TRUE(nodes[0]->received.empty());
+  for (size_t i = 1; i < nodes.size(); ++i) {
+    ASSERT_EQ(nodes[i]->received.size(), 1u) << i;
+    EXPECT_EQ(nodes[i]->received[0].id, i + 1);
+  }
+  EXPECT_EQ(net.trace().Count(TraceEvent::kDropNoNextHop), 1u);
+}
+
+TEST(LanTest, DuplicateIpWhoseFirstOwnerIsTheSender) {
+  // Two nodes share one address and the sender attached first: the packet
+  // goes to the other owner, on a small (scanned) and a large (indexed)
+  // Lan alike. A node that is the address's only owner reaches itself.
+  for (const int fillers : {0, 10}) {
+    Network net(1);
+    Lan* lan = net.CreateLan("lan", LanConfig{.latency = Millis(1)});
+    const Ipv4Address shared = Ipv4Address::FromOctets(10, 0, 0, 1);
+    const Ipv4Address own = Ipv4Address::FromOctets(10, 0, 0, 2);
+    auto* first = net.Create<SinkNode>("first");
+    first->AttachTo(lan, shared);
+    for (int i = 0; i < fillers; ++i) {
+      net.Create<SinkNode>("filler" + std::to_string(i))
+          ->AttachTo(lan, Ipv4Address::FromOctets(10, 0, 1, static_cast<uint8_t>(i + 1)));
+    }
+    auto* second = net.Create<SinkNode>("second");
+    second->AttachTo(lan, shared);
+    first->AttachTo(lan, own);
+    const auto send = [&](Node* from, Ipv4Address to, uint64_t id) {
+      Packet p;
+      p.id = id;
+      p.set_dst(Endpoint(to, 9));
+      lan->Transmit(from, to, std::move(p));
+    };
+    send(first, shared, 1);   // first owner is the sender: goes to `second`
+    send(second, shared, 2);  // first owner is another node: goes to `first`
+    send(first, own, 3);      // only owner is the sender: loops back
+    net.RunUntilIdle();
+    ASSERT_EQ(second->received.size(), 1u) << "fillers=" << fillers;
+    EXPECT_EQ(second->received[0].id, 1u);
+    ASSERT_EQ(first->received.size(), 2u) << "fillers=" << fillers;
+    EXPECT_EQ(first->received[0].id, 2u);
+    EXPECT_EQ(first->received[1].id, 3u);
+  }
+}
+
 TEST(NodeTest, LongestPrefixMatchWins) {
   Network net(1);
   Lan* lan1 = net.CreateLan("l1", LanConfig{});

@@ -361,6 +361,13 @@ TEST(ChromeTraceTest, ExportIsStructurallyValidForPerfetto) {
             net.trace().records().size());
 }
 
+TEST(ChromeTraceTest, AdversarialFaultsAreCategorisedAsFaults) {
+  for (const TraceEvent event : {TraceEvent::kCorrupt, TraceEvent::kTruncate,
+                                 TraceEvent::kDuplicate, TraceEvent::kReorder}) {
+    EXPECT_EQ(obs::TraceEventCategory(event), "fault") << static_cast<int>(event);
+  }
+}
+
 TEST(ChromeTraceTest, EmptyTraceStillValid) {
   TraceRecorder trace;
   const std::string json = obs::ChromeTraceJson(trace, "empty");

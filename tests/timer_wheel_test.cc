@@ -1,19 +1,27 @@
-// Hierarchical timing wheel tests: exact dispatch order (the wheel is a
-// staging tier under the heap, so pops must keep the strict (time, sequence)
-// total order the golden traces depend on), slot rollover, far-future
-// overflow parking, cancellation from every residence state, Reset() reuse,
-// and a randomized wheel-vs-heap differential oracle. The scenario-level
+// Hierarchical timing wheel and due-run tests: exact dispatch order (the
+// wheel is a staging tier in front of the due run, so dispatch must keep the
+// strict (time, sequence) total order the golden traces depend on), slot
+// rollover, far-future overflow parking, cancellation from every residence
+// state, re-arms into flushed slots, cross-tier ties, Reset() reuse, and a
+// randomized wheel-on vs wheel-off differential oracle. The scenario-level
 // check at the bottom replays a full punch scenario with the wheel on and
-// off and requires byte-identical Trace::Dump() output.
+// off and requires byte-identical Trace::Dump() output. Every slot, window
+// and horizon size is derived from the loop's wheel geometry constants.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <memory>
+#include <numeric>
 #include <string>
 #include <vector>
 
 #include "src/core/udp_puncher.h"
 #include "src/netsim/event_loop.h"
+#include "src/netsim/lan.h"
+#include "src/netsim/network.h"
+#include "src/netsim/node.h"
 #include "src/rendezvous/client.h"
 #include "src/rendezvous/server.h"
 #include "src/scenario/scenario.h"
@@ -22,9 +30,22 @@
 namespace natpunch {
 namespace {
 
-// One L0 slot is 2^14 us; one L0 window is 64 slots.
-constexpr int64_t kSlotUs = 1 << 14;
-constexpr int64_t kWindowUs = 64 * kSlotUs;
+// One level-0 slot; one level-0 window (a whole level-0 wheel).
+constexpr int64_t kSlotUs = int64_t{1} << EventLoop::kWheelGranularityBits;
+constexpr int64_t kWindowUs = kSlotUs << EventLoop::kWheelSlotBits;
+// Time covered by the whole level-`level` wheel: level 0 is one window,
+// and each level above spans 64 times the one below.
+constexpr int64_t LevelSpanUs(int level) {
+  return kSlotUs << (EventLoop::kWheelSlotBits * (level + 1));
+}
+// Past this distance from the cursor a timer parks in the overflow list.
+constexpr int64_t kOverflowHorizonUs = LevelSpanUs(EventLoop::kWheelLevels - 1);
+static_assert(kOverflowHorizonUs > kWindowUs && kOverflowHorizonUs < (int64_t{1} << 50),
+              "the derived horizons must fit comfortably in SimTime");
+
+std::string Fired(int tag, int64_t at) {
+  return "t" + std::to_string(tag) + "@" + std::to_string(at);
+}
 
 struct FireLog {
   EventLoop* loop = nullptr;
@@ -57,17 +78,16 @@ TEST(TimerWheelTest, SlotRolloverKeepsExactOrderAcrossWindows) {
     loop.ScheduleTimerAt(SimTime(deadlines[i]), &timers[i].handle);
   }
   loop.RunUntil(SimTime(70 * kWindowUs));
-  ASSERT_EQ(log.size(), timers.size());
-  // Expected: ascending deadline order.
-  EXPECT_EQ(log[0], "t1@8192");
-  EXPECT_EQ(log[1], "t8@1032192");
-  EXPECT_EQ(log[2], "t2@1048575");
-  EXPECT_EQ(log[3], "t3@1048576");
-  EXPECT_EQ(log[4], "t4@1048577");
-  EXPECT_EQ(log[5], "t5@2113536");
-  EXPECT_EQ(log[6], "t0@3145733");
-  EXPECT_EQ(log[7], "t7@5242883");
-  EXPECT_EQ(log[8], "t6@68157447");
+  // Expected: ascending deadline order (the deadlines are distinct).
+  std::vector<int> order(std::size(deadlines));
+  std::iota(order.begin(), order.end(), 0);
+  std::sort(order.begin(), order.end(),
+            [&](int a, int b) { return deadlines[a] < deadlines[b]; });
+  std::vector<std::string> expected;
+  for (const int i : order) {
+    expected.push_back(Fired(i, deadlines[i]));
+  }
+  EXPECT_EQ(log, expected);
 }
 
 TEST(TimerWheelTest, SameDeadlineTieBreaksByScheduleOrderWithClosures) {
@@ -98,21 +118,19 @@ TEST(TimerWheelTest, FarFutureTimerParksInOverflowAndFiresExactly) {
   std::vector<std::string> log;
   FireLog farfut{&loop, &log, 9, {}};
   farfut.handle.Bind<&FireLog::Fire>(&farfut);
-  // ~100 simulated hours: past the level-3 horizon (~76 h), so the handle
-  // parks in the overflow list and must survive several rescans.
-  const int64_t when = 100ll * 3600 * 1000000 + 12345;
+  // Past the level-3 horizon, so the handle parks in the overflow list and
+  // must survive several rescans.
+  const int64_t when = kOverflowHorizonUs + kOverflowHorizonUs / 3 + 12345;
   loop.ScheduleTimerAt(SimTime(when), &farfut.handle);
   EXPECT_EQ(loop.wheel_pending(), 1u);
   // Keep the loop busy along the way so the cursor actually travels.
-  FireLog hourly{&loop, &log, 1, {}};
-  hourly.handle.Bind<&FireLog::Fire>(&hourly);
-  int hops = 0;
+  const int64_t hop_us = kOverflowHorizonUs / 50;
   std::function<void()> hop = [&] {
-    if (++hops < 120) {
-      loop.ScheduleAfter(Micros(3600ll * 1000000), hop);
+    if (loop.now().micros() + hop_us < when) {
+      loop.ScheduleAfter(Micros(hop_us), hop);
     }
   };
-  loop.ScheduleAfter(Micros(3600ll * 1000000), hop);
+  loop.ScheduleAfter(Micros(hop_us), hop);
   loop.RunUntil(SimTime(when + 1));
   ASSERT_EQ(log.size(), 1u);
   EXPECT_EQ(log[0], "t9@" + std::to_string(when));
@@ -121,8 +139,8 @@ TEST(TimerWheelTest, FarFutureTimerParksInOverflowAndFiresExactly) {
 TEST(TimerWheelTest, CancelWorksFromEveryResidence) {
   EventLoop loop;
   std::vector<std::string> log;
-  // One timer per residence tier: level 0 (heap after flush), level 1+,
-  // and the overflow list.
+  // One timer per residence tier: level 0 (the due run after flush), level
+  // 1+, and the overflow list.
   FireLog near{&loop, &log, 0, {}};
   FireLog mid{&loop, &log, 1, {}};
   FireLog far{&loop, &log, 2, {}};
@@ -131,7 +149,7 @@ TEST(TimerWheelTest, CancelWorksFromEveryResidence) {
   }
   loop.ScheduleTimerAt(SimTime(kSlotUs * 3), &near.handle);
   loop.ScheduleTimerAt(SimTime(kWindowUs * 7), &mid.handle);
-  loop.ScheduleTimerAt(SimTime(200ll * 3600 * 1000000), &far.handle);
+  loop.ScheduleTimerAt(SimTime(2 * kOverflowHorizonUs), &far.handle);
   EXPECT_TRUE(near.handle.pending());
   EXPECT_TRUE(near.handle.Cancel());
   EXPECT_FALSE(near.handle.pending());
@@ -146,8 +164,8 @@ TEST(TimerWheelTest, CancelWorksFromEveryResidence) {
 
 TEST(TimerWheelTest, CancelDuringCascadeWindow) {
   // A timer cancelled by an earlier-firing timer in the *same* L0 window:
-  // by then the victim has cascaded down to level 0 / the heap, so this
-  // exercises unlink-after-migration rather than the easy in-slot unlink.
+  // by then the victim has cascaded down to level 0, so this exercises
+  // unlink after a cascade rather than the easy in-slot unlink.
   EventLoop loop;
   std::vector<std::string> log;
   FireLog victim{&loop, &log, 7, {}};
@@ -222,7 +240,191 @@ TEST(TimerWheelTest, DestructorCancelsPendingTimer) {
 }
 
 // ---------------------------------------------------------------------------
-// Randomized differential oracle: wheel on vs wheel off (pure heap) must
+// Due run: timers whose level-0 slot has been flushed. Each case puts its
+// timers in one slot (the slot starting at `kDueSlot`), so the first
+// dispatch in that slot has flushed all of them and wheel_pending() reads 0.
+// ---------------------------------------------------------------------------
+
+constexpr int64_t kDueSlot = 3 * kWindowUs + 5 * kSlotUs;
+static_assert(kSlotUs > 100, "the due-run cases need room inside one slot");
+
+TEST(TimerDueRunTest, CancellingADueTimerSkipsIt) {
+  for (const bool wheel : {true, false}) {
+    EventLoop loop;
+    loop.SetTimerWheelEnabled(wheel);
+    std::vector<std::string> log;
+    FireLog a{&loop, &log, 1, {}};
+    FireLog b{&loop, &log, 2, {}};
+    FireLog c{&loop, &log, 3, {}};
+    for (FireLog* t : {&a, &b, &c}) {
+      t->handle.Bind<&FireLog::Fire>(t);
+    }
+    loop.ScheduleTimerAt(SimTime(kDueSlot + 10), &a.handle);
+    loop.ScheduleTimerAt(SimTime(kDueSlot + 20), &b.handle);
+    loop.ScheduleTimerAt(SimTime(kDueSlot + 30), &c.handle);
+    size_t wheel_at_cancel = 99;
+    loop.ScheduleAt(SimTime(kDueSlot + 15), [&] {
+      wheel_at_cancel = loop.wheel_pending();
+      EXPECT_TRUE(b.handle.Cancel());  // b is due, behind c and ahead of a
+      EXPECT_FALSE(b.handle.pending());
+    });
+    loop.RunUntil(SimTime(kDueSlot + kSlotUs));
+    EXPECT_EQ(wheel_at_cancel, 0u) << "wheel=" << wheel;
+    EXPECT_EQ(log, (std::vector<std::string>{Fired(1, kDueSlot + 10), Fired(3, kDueSlot + 30)}))
+        << "wheel=" << wheel;
+    EXPECT_EQ(loop.pending_count(), 0u);
+  }
+}
+
+// Re-arms itself `remaining` times, 1 us apart: every re-arm lands in the
+// slot being dispatched, which has already been flushed.
+struct SelfRearm {
+  EventLoop* loop = nullptr;
+  std::vector<std::string>* log = nullptr;
+  int remaining = 0;
+  TimerHandle handle;
+
+  void Fire() {
+    log->push_back(Fired(0, loop->now().micros()));
+    if (remaining-- > 0) {
+      loop->ScheduleTimerAfter(Micros(1), &handle);
+    }
+  }
+};
+
+TEST(TimerDueRunTest, RearmFromOwnCallbackIntoFlushedSlot) {
+  for (const bool wheel : {true, false}) {
+    EventLoop loop;
+    loop.SetTimerWheelEnabled(wheel);
+    std::vector<std::string> log;
+    SelfRearm self{&loop, &log, 3, {}};
+    self.handle.Bind<&SelfRearm::Fire>(&self);
+    FireLog other{&loop, &log, 1, {}};
+    other.handle.Bind<&FireLog::Fire>(&other);
+    loop.ScheduleTimerAt(SimTime(kDueSlot), &self.handle);
+    // Armed before self's re-arm for the same instant, so it fires first.
+    loop.ScheduleTimerAt(SimTime(kDueSlot + 2), &other.handle);
+    loop.RunUntil(SimTime(kDueSlot + kSlotUs));
+    EXPECT_EQ(log, (std::vector<std::string>{Fired(0, kDueSlot), Fired(0, kDueSlot + 1),
+                                             Fired(1, kDueSlot + 2), Fired(0, kDueSlot + 2),
+                                             Fired(0, kDueSlot + 3)}))
+        << "wheel=" << wheel;
+    EXPECT_FALSE(self.handle.pending());
+    EXPECT_EQ(loop.pending_count(), 0u);
+  }
+}
+
+// Records a delivered packet's id as "p<id>@<time>".
+class LogSink : public Node {
+ public:
+  LogSink(Network* net, std::string name, std::vector<std::string>* log)
+      : Node(net, std::move(name)), log_(log) {}
+  void HandlePacket(int iface, Packet&& packet) override {
+    (void)iface;
+    log_->push_back("p" + std::to_string(packet.id) + "@" +
+                    std::to_string(network()->now().micros()));
+  }
+
+ private:
+  std::vector<std::string>* log_;
+};
+
+TEST(TimerDueRunTest, SameInstantTiesAcrossTimerClosureAndLanDelivery) {
+  // At one instant: a timer and a closure scheduled long before, then a LAN
+  // delivery whose id is reserved at transmit time, then a timer and a
+  // closure scheduled after that transmit. They must fire in exactly that
+  // (schedule) order whichever tier holds each.
+  for (const bool wheel : {true, false}) {
+    Network net(1);
+    EventLoop& loop = net.event_loop();
+    loop.SetTimerWheelEnabled(wheel);
+    std::vector<std::string> log;
+    Lan* lan = net.CreateLan("lan", LanConfig{.latency = Micros(40)});
+    auto* a = net.Create<LogSink>("a", &log);
+    auto* b = net.Create<LogSink>("b", &log);
+    a->AttachTo(lan, Ipv4Address::FromOctets(10, 0, 0, 1));
+    b->AttachTo(lan, Ipv4Address::FromOctets(10, 0, 0, 2));
+    const int64_t when = kDueSlot + 50;
+    FireLog early{&loop, &log, 1, {}};
+    FireLog late{&loop, &log, 2, {}};
+    early.handle.Bind<&FireLog::Fire>(&early);
+    late.handle.Bind<&FireLog::Fire>(&late);
+    loop.ScheduleTimerAt(SimTime(when), &early.handle);
+    loop.ScheduleAt(SimTime(when), [&] { log.push_back("c1"); });
+    loop.ScheduleAt(SimTime(when - 40), [&] {
+      Packet p;
+      p.id = 7;
+      p.set_dst(Endpoint(Ipv4Address::FromOctets(10, 0, 0, 2), 9));
+      lan->Transmit(a, p.dst_ip, std::move(p));
+      loop.ScheduleTimerAt(SimTime(when), &late.handle);
+      loop.ScheduleAt(SimTime(when), [&] { log.push_back("c2"); });
+    });
+    net.RunFor(Micros(when + 1));
+    EXPECT_EQ(log, (std::vector<std::string>{Fired(1, when), "c1", "p7@" + std::to_string(when),
+                                             Fired(2, when), "c2"}))
+        << "wheel=" << wheel;
+  }
+}
+
+TEST(TimerDueRunTest, ResetWhileTimersAreDue) {
+  EventLoop loop;
+  std::vector<std::string> log;
+  std::vector<FireLog> timers(4);
+  for (size_t i = 0; i < timers.size(); ++i) {
+    timers[i].loop = &loop;
+    timers[i].log = &log;
+    timers[i].tag = static_cast<int>(i);
+    timers[i].handle.Bind<&FireLog::Fire>(&timers[i]);
+    loop.ScheduleTimerAt(SimTime(kDueSlot + 10 * static_cast<int64_t>(i + 1)), &timers[i].handle);
+  }
+  loop.RunUntil(SimTime(kDueSlot + 15));  // fires timer 0; 1..3 stay due
+  ASSERT_EQ(log.size(), 1u);
+  EXPECT_EQ(loop.wheel_pending(), 0u);
+  EXPECT_EQ(loop.pending_count(), 3u);
+  loop.Reset();
+  EXPECT_EQ(loop.pending_count(), 0u);
+  for (FireLog& t : timers) {
+    EXPECT_FALSE(t.handle.pending());
+    EXPECT_FALSE(t.handle.Cancel());
+  }
+  // Nothing left over fires, and the handles re-arm on the reset loop.
+  log.clear();
+  loop.ScheduleTimerAt(SimTime(kSlotUs / 2), &timers[3].handle);
+  loop.RunUntil(SimTime(kDueSlot + kSlotUs));
+  EXPECT_EQ(log, (std::vector<std::string>{Fired(3, kSlotUs / 2)}));
+}
+
+TEST(TimerDueRunTest, HandleDestroyedWhileDue) {
+  for (const bool wheel : {true, false}) {
+    EventLoop loop;
+    loop.SetTimerWheelEnabled(wheel);
+    std::vector<std::string> log;
+    FireLog first{&loop, &log, 1, {}};
+    FireLog last{&loop, &log, 3, {}};
+    first.handle.Bind<&FireLog::Fire>(&first);
+    last.handle.Bind<&FireLog::Fire>(&last);
+    auto doomed = std::make_unique<FireLog>();
+    doomed->loop = &loop;
+    doomed->log = &log;
+    doomed->tag = 2;
+    doomed->handle.Bind<&FireLog::Fire>(doomed.get());
+    loop.ScheduleTimerAt(SimTime(kDueSlot + 10), &first.handle);
+    loop.ScheduleTimerAt(SimTime(kDueSlot + 20), &doomed->handle);
+    loop.ScheduleTimerAt(SimTime(kDueSlot + 30), &last.handle);
+    loop.RunUntil(SimTime(kDueSlot + 15));
+    EXPECT_EQ(loop.wheel_pending(), 0u);
+    EXPECT_EQ(loop.pending_count(), 2u);
+    doomed.reset();  // its due entry must never be dispatched
+    EXPECT_EQ(loop.pending_count(), 1u);
+    loop.RunUntil(SimTime(kDueSlot + kSlotUs));
+    EXPECT_EQ(log, (std::vector<std::string>{Fired(1, kDueSlot + 10), Fired(3, kDueSlot + 30)}))
+        << "wheel=" << wheel;
+    EXPECT_TRUE(loop.idle());
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Randomized differential oracle: wheel on vs wheel off (pure due run) must
 // produce identical dispatch sequences under schedule/cancel/re-arm churn.
 // ---------------------------------------------------------------------------
 
@@ -294,12 +496,14 @@ TEST(TimerWheelDifferentialTest, MatchesHeapOnlyOrderAcrossAllLevels) {
     int64_t horizon;
     int64_t max_step;
   };
-  // Short/dense exercises L0/L1 windows; medium crosses L2/L3 boundaries;
-  // long/sparse crosses the overflow horizon (~76 h).
+  // Short/dense exercises level-0/1 windows; medium crosses level-2/3
+  // boundaries; long/sparse arms steps past the level-3 horizon, so timers
+  // park in the overflow list and are rescanned across several level-3
+  // windows.
   const Config configs[] = {
-      {24, 120000000ll, 7000000ll},
-      {16, 9000000000ll, 500000000ll},
-      {8, 600000000000ll, 90000000000ll},
+      {24, 2 * LevelSpanUs(1), 7 * LevelSpanUs(0)},
+      {16, 2 * LevelSpanUs(2), 8 * LevelSpanUs(1)},
+      {8, 4 * LevelSpanUs(3), LevelSpanUs(3) + LevelSpanUs(3) / 2},
   };
   for (const Config& cfg : configs) {
     for (uint64_t seed = 1; seed <= 10; ++seed) {
@@ -368,7 +572,7 @@ TEST(TimerWheelDifferentialTest, PunchScenarioTraceByteIdentical) {
   EXPECT_EQ(with_wheel, heap_only);
 }
 
-TEST(TimerWheelTest, LoopMetricsCountWheelAndHeapAdmissions) {
+TEST(TimerWheelTest, LoopMetricsCountWheelAndDueAdmissions) {
   Network net(1);
   obs::MetricsRegistry* reg = net.EnableMetrics();
   EventLoop& loop = net.event_loop();
@@ -378,16 +582,16 @@ TEST(TimerWheelTest, LoopMetricsCountWheelAndHeapAdmissions) {
   near.handle.Bind<&FireLog::Fire>(&near);
   far.handle.Bind<&FireLog::Fire>(&far);
   const obs::Counter* wheel_ct = reg->FindCounter("loop.timers_wheel");
-  const obs::Counter* heap_ct = reg->FindCounter("loop.timers_heap");
+  const obs::Counter* due_ct = reg->FindCounter("loop.timers_due");
   const obs::Counter* cascades = reg->FindCounter("loop.wheel_cascades");
   ASSERT_NE(wheel_ct, nullptr);
-  ASSERT_NE(heap_ct, nullptr);
+  ASSERT_NE(due_ct, nullptr);
   ASSERT_NE(cascades, nullptr);
   loop.ScheduleTimerAt(SimTime(5 * kWindowUs), &near.handle);  // wheel path
   EXPECT_EQ(wheel_ct->value(), 1u);
   loop.SetTimerWheelEnabled(false);
-  loop.ScheduleTimerAt(SimTime(6 * kWindowUs), &far.handle);  // forced heap path
-  EXPECT_EQ(heap_ct->value(), 1u);
+  loop.ScheduleTimerAt(SimTime(6 * kWindowUs), &far.handle);  // forced due-run path
+  EXPECT_EQ(due_ct->value(), 1u);
   loop.SetTimerWheelEnabled(true);
   loop.RunUntil(SimTime(7 * kWindowUs));
   EXPECT_EQ(log.size(), 2u);
