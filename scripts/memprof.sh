@@ -6,8 +6,8 @@
 # hook pointed at an output directory, then folds the mem.<pool>.* slab
 # gauges from the metrics snapshot into a per-pool bytes breakdown JSON —
 # the artifact CI uploads so a bytes/session regression can be attributed
-# to a specific pool (sessions? registration records? TCP sockets?) instead
-# of re-running locally with a profiler.
+# to a specific pool (sessions? registration records? TCP sockets? packets
+# in flight on the LANs?) instead of re-running locally with a profiler.
 #
 #   scripts/memprof.sh                 # build + profile, writes to ./memprof-out
 #   OUT_DIR=/tmp/mp scripts/memprof.sh # CI points OUT_DIR at its artifact dir
@@ -58,17 +58,22 @@ for leg, entry in legs.items():
     if not snap_path.exists():
         continue
     gauges = json.loads(snap_path.read_text()).get("gauges", {})
-    # Gauge names are mem.<pool>.<host>.{live,peak,slabs}; aggregate by pool
-    # across hosts. slab bytes are reported by the .slabs gauge count times
-    # the slot capacity, which the snapshot does not carry — report live and
-    # peak object counts plus slab counts per pool; object sizes are the
-    # compile-time budgets asserted in tests/slab_test.cc.
+    # Slab gauge names are mem.<pool>.<host>.{live,peak,slabs}; aggregate by
+    # pool across hosts. The Network's one LAN delivery pool (the in-flight
+    # packets of every Lan) has no host part and counts chunks:
+    # mem.lan_deliveries.{live,peak,chunks}, folded into the same columns.
+    # slab bytes are reported by the .slabs gauge count times the slot
+    # capacity, which the snapshot does not carry — report live and peak
+    # object counts plus slab counts per pool; object sizes are the
+    # compile-time budgets asserted in tests/slab_test.cc and src/netsim/lan.h.
     pools = {}
     for name, g in gauges.items():
-        m = re.match(r"mem\.([a-z_]+)\.(.+)\.(live|peak|slabs)$", name)
+        m = re.match(r"mem\.([a-z_]+)(?:\.(.+))?\.(live|peak|slabs|chunks)$", name)
         if not m:
             continue
         pool, _host, field = m.groups()
+        if field == "chunks":
+            field = "slabs"
         pools.setdefault(pool, {"live": 0, "peak": 0, "slabs": 0})
         pools[pool][field] += g["value"]
     breakdown[leg] = {

@@ -11,8 +11,65 @@
 
 namespace natpunch {
 
+DeliveryPool::~DeliveryPool() {
+  for (uint32_t slot = 0; slot < slot_count_; ++slot) {
+    std::destroy_at(&(*this)[slot]);
+  }
+}
+
+uint32_t DeliveryPool::Acquire() {
+  uint32_t slot = free_;
+  if (slot != kNoSlot) {
+    free_ = (*this)[slot].next;
+  } else {
+    if (slot_count_ == capacity()) {
+      std::unique_ptr<PendingDelivery[], ChunkDeleter> chunk(static_cast<PendingDelivery*>(
+          ::operator new((size_t{kFirstChunk} << chunks_.size()) * sizeof(PendingDelivery))));
+      chunks_.push_back(std::move(chunk));
+      obs::Set(metric_chunks_, static_cast<int64_t>(chunks_.size()));
+    }
+    slot = slot_count_++;
+    std::construct_at(&(*this)[slot]);
+  }
+  if (++live_ > peak_) {
+    peak_ = live_;
+    obs::Set(metric_peak_, static_cast<int64_t>(peak_));
+  }
+  obs::Set(metric_live_, static_cast<int64_t>(live_));
+  return slot;
+}
+
+void DeliveryPool::Release(uint32_t slot) {
+  PendingDelivery& d = (*this)[slot];
+  if (!d.packet.payload.is_inline()) {
+    d.packet.payload = Payload();
+  }
+  d.next = free_;
+  free_ = slot;
+  --live_;
+  obs::Set(metric_live_, static_cast<int64_t>(live_));
+}
+
+void DeliveryPool::ResetPeak() {
+  peak_ = live_;
+  obs::Set(metric_live_, static_cast<int64_t>(live_));
+  obs::Set(metric_peak_, static_cast<int64_t>(peak_));
+  obs::Set(metric_chunks_, static_cast<int64_t>(chunks_.size()));
+}
+
+void DeliveryPool::AttachMetrics(obs::MetricsRegistry* registry) {
+  if (registry == nullptr) {
+    metric_live_ = metric_peak_ = metric_chunks_ = nullptr;
+    return;
+  }
+  metric_live_ = registry->GetGauge("mem.lan_deliveries.live");
+  metric_peak_ = registry->GetGauge("mem.lan_deliveries.peak");
+  metric_chunks_ = registry->GetGauge("mem.lan_deliveries.chunks");
+  ResetPeak();
+}
+
 Lan::Lan(Network* network, std::string name, LanConfig config)
-    : network_(network), name_(std::move(name)), config_(config) {
+    : network_(network), pool_(&network->delivery_pool()), name_(std::move(name)), config_(config) {
   trace_id_ = network_->trace().Intern(name_);
   if (obs::MetricsRegistry* reg = network_->metrics()) {
     char metric_name[96];
@@ -30,11 +87,11 @@ Lan::Lan(Network* network, std::string name, LanConfig config)
 
 Lan::~Lan() {
   EventLoop& loop = network_->event_loop();
-  for (uint32_t slot = head_; slot != kNoSlot; slot = delivery(slot).next) {
+  while (head_ != kNoSlot) {
+    const uint32_t slot = head_;
+    head_ = delivery(slot).next;
     loop.CancelReserved(delivery(slot).id);
-  }
-  for (uint32_t slot = 0; slot < slot_count_; ++slot) {
-    std::destroy_at(&delivery(slot));
+    pool_->Release(slot);
   }
 }
 
@@ -177,7 +234,7 @@ void Lan::Transmit(Node* sender, Ipv4Address next_hop, Packet&& packet) {
 
 void Lan::Enqueue(int64_t time, uint32_t target, Packet&& packet) {
   EventLoop& loop = network_->event_loop();
-  const uint32_t slot = AcquireSlot();
+  const uint32_t slot = pool_->Acquire();
   PendingDelivery& d = delivery(slot);
   d.time = time;
   d.id = loop.ReserveEvent(this);
@@ -206,31 +263,6 @@ void Lan::Enqueue(int64_t time, uint32_t target, Packet&& packet) {
   head_ = slot;
   d.armed = true;
   loop.ArmReserved(SimTime(time), d.id);
-}
-
-uint32_t Lan::AcquireSlot() {
-  if (free_ != kNoSlot) {
-    const uint32_t slot = free_;
-    free_ = delivery(slot).next;
-    return slot;
-  }
-  if (slot_count_ == kFirstChunk * ((1u << deliveries_.size()) - 1)) {
-    const size_t slots = size_t{kFirstChunk} << deliveries_.size();
-    std::unique_ptr<PendingDelivery[], ChunkDeleter> chunk(
-        static_cast<PendingDelivery*>(::operator new(slots * sizeof(PendingDelivery))));
-    deliveries_.push_back(std::move(chunk));
-  }
-  std::construct_at(&delivery(slot_count_));
-  return slot_count_++;
-}
-
-void Lan::ReleaseSlot(uint32_t slot) {
-  PendingDelivery& d = delivery(slot);
-  if (!d.packet.payload.is_inline()) {
-    d.packet.payload = Payload();
-  }
-  d.next = free_;
-  free_ = slot;
 }
 
 void Lan::Mangle(Packet& packet, SimDuration& extra, bool& duplicate) {
@@ -282,9 +314,9 @@ void Lan::FireReserved() {
   // under the id that one reserved at transmit time (unless it was armed
   // when it became a head on insertion), then hand the packet to the node
   // straight from its slot and release the slot afterwards. HandlePacket
-  // may re-enter Transmit on this same Lan: the slot is off the in-flight
-  // list and not yet free, so that Transmit takes another slot, and chunks
-  // never move, so `d` stays valid.
+  // may re-enter Transmit on this or another Lan: the slot is off the
+  // in-flight list and not yet free, so that Transmit takes another slot,
+  // and the pool's chunks never move, so `d` stays valid even if it grows.
   const uint32_t slot = head_;
   PendingDelivery& d = delivery(slot);
   head_ = d.next;
@@ -303,7 +335,7 @@ void Lan::FireReserved() {
   const int iface = to.iface;
   network_->trace().Record(network_->now(), node->trace_id(), TraceEvent::kDeliver, d.packet);
   node->HandlePacket(iface, std::move(d.packet));
-  ReleaseSlot(slot);
+  pool_->Release(slot);
 }
 
 void Lan::DropReserved() {
@@ -312,7 +344,7 @@ void Lan::DropReserved() {
   while (head_ != kNoSlot) {
     const uint32_t slot = head_;
     head_ = delivery(slot).next;
-    ReleaseSlot(slot);
+    pool_->Release(slot);
   }
   tail_ = kNoSlot;
 }

@@ -27,6 +27,8 @@ namespace natpunch {
 
 namespace obs {
 class Counter;
+class Gauge;
+class MetricsRegistry;
 }  // namespace obs
 
 class Network;
@@ -75,16 +77,103 @@ struct LanConfig {
   bool is_global = false;  // the public Internet realm
 };
 
+// The slots in which every Lan of one Network parks its in-flight packets.
+// Chunks double in size from kFirstChunk slots and never move, each slot is
+// constructed when the pool first reaches it, and freed slots go on one
+// LIFO free list, so the slot a delivery frees is the next transmit's.
+//
+// One pool per Network rather than per Lan: a pool only grows, so it costs
+// its owner's high-water mark, and the most packets a whole Network has in
+// flight at once is far below the sum of every Lan's own peak (each private
+// Lan of a swarm peaks once, during its pair's punch ramp). Chunks rather
+// than one flat vector, whose growth would copy the pool and free its old
+// multi-megabyte block, moving glibc's mmap threshold and with it peak RSS.
+// A small first chunk keeps small worlds in small allocations.
+//
+// Observability: AttachMetrics wires mem.lan_deliveries.{live,peak,chunks}
+// gauges; with no registry nothing is recorded.
+class DeliveryPool {
+ public:
+  static constexpr uint32_t kNoSlot = UINT32_MAX;
+  static constexpr uint32_t kFirstChunk = 16;
+
+  // An in-flight delivery parked in a slot. Its event id is reserved at
+  // transmit time, so it keeps the (time, sequence) key a scheduled closure
+  // would have had. `prev`/`next` link the owning Lan's in-flight list;
+  // `next` also threads the free list.
+  struct PendingDelivery {
+    int64_t time = 0;           // delivery time, micros
+    EventLoop::EventId id = 0;  // reserved by Lan::Transmit
+    uint32_t prev = kNoSlot;
+    uint32_t next = kNoSlot;
+    uint32_t target = 0;        // index into the owning Lan's attachments
+    bool armed = false;         // (time, id) key pushed into the heap
+    Packet packet;
+  };
+  static_assert(sizeof(PendingDelivery) <= 168,
+                "in-flight delivery footprint budget; see DESIGN.md Memory footprint");
+
+  DeliveryPool() = default;
+  ~DeliveryPool();
+
+  DeliveryPool(const DeliveryPool&) = delete;
+  DeliveryPool& operator=(const DeliveryPool&) = delete;
+
+  // Takes a free slot, or constructs the next one (adding a chunk if the
+  // last is full). Earlier slots never move.
+  uint32_t Acquire();
+  // Returns a delivered (or dropped) slot to the free list. Frees a
+  // heap-spilled payload the receiver did not take, so an idle slot never
+  // pins a jumbo buffer.
+  void Release(uint32_t slot);
+
+  // Chunk k holds kFirstChunk << k slots and starts at slot
+  // kFirstChunk * (2^k - 1).
+  PendingDelivery& operator[](uint32_t slot) {
+    const int k = std::bit_width((slot / kFirstChunk) + 1) - 1;
+    return chunks_[k][slot + kFirstChunk - (kFirstChunk << k)];
+  }
+
+  size_t live() const { return live_; }    // slots holding a packet in flight
+  size_t peak() const { return peak_; }    // high-water live count this run
+  size_t slots() const { return slot_count_; }  // slots constructed so far
+  size_t chunks() const { return chunks_.size(); }
+  size_t capacity() const { return size_t{kFirstChunk} * ((size_t{1} << chunks_.size()) - 1); }
+
+  // Network::Reset: a new run starts its peak from the (empty) live count.
+  // Keeps the chunks and republishes every gauge.
+  void ResetPeak();
+
+  // Registers mem.lan_deliveries.{live,peak,chunks}. Null registry detaches.
+  void AttachMetrics(obs::MetricsRegistry* registry);
+
+ private:
+  struct ChunkDeleter {
+    void operator()(PendingDelivery* chunk) const { ::operator delete(chunk); }
+  };
+  std::vector<std::unique_ptr<PendingDelivery[], ChunkDeleter>> chunks_;
+  uint32_t slot_count_ = 0;
+  uint32_t free_ = kNoSlot;
+  size_t live_ = 0;
+  size_t peak_ = 0;
+  obs::Gauge* metric_live_ = nullptr;
+  obs::Gauge* metric_peak_ = nullptr;
+  obs::Gauge* metric_chunks_ = nullptr;
+};
+
 // In-flight packets wait in one list per Lan, sorted by (delivery time,
-// event id) and threaded through a pool of slots; only the list head is
-// armed in the event loop's heap (see event_loop.h, "Reserved events"). With
-// constant latency every new packet lands on the tail in O(1), and the heap
-// holds one key per busy Lan instead of one per packet in flight, so its
-// pushes and pops stay shallow.
+// event id) and threaded through the Network's DeliveryPool; only the list
+// head is armed in the event loop's heap (see event_loop.h, "Reserved
+// events"). With constant latency every new packet lands on the tail in
+// O(1), and the heap holds one key per busy Lan instead of one per packet in
+// flight, so its pushes and pops stay shallow.
+//
+// A Lan must not outlive its Network: its slots, clock and event ids all
+// belong to the Network.
 class Lan final : private EventLoop::ReservedOwner {
  public:
   Lan(Network* network, std::string name, LanConfig config);
-  // Cancels every delivery still in flight.
+  // Cancels every delivery still in flight and returns its slot to the pool.
   ~Lan();
 
   Lan(const Lan&) = delete;
@@ -109,7 +198,7 @@ class Lan final : private EventLoop::ReservedOwner {
 
   // Emit `packet` toward `next_hop` on this segment. Applies loss and delay,
   // then delivers to the attachment owning next_hop, if any. The packet is
-  // consumed (parked in the pooled delivery slot) only when it survives the
+  // consumed (parked in a DeliveryPool slot) only when it survives the
   // loss/link checks.
   void Transmit(Node* sender, Ipv4Address next_hop, Packet&& packet);
 
@@ -123,27 +212,13 @@ class Lan final : private EventLoop::ReservedOwner {
     Ipv4Address ip;
   };
 
-  static constexpr uint32_t kNoSlot = UINT32_MAX;
+  using PendingDelivery = DeliveryPool::PendingDelivery;
+  static constexpr uint32_t kNoSlot = DeliveryPool::kNoSlot;
   // Past this many attachments (the global realm: every NAT and server) a
   // Lan indexes its addresses instead of scanning them per packet. Smaller
   // Lans, the many private segments of fleet worlds, build no index and
   // allocate nothing for it.
   static constexpr size_t kIndexedAttachments = 8;
-
-  // An in-flight delivery parked in a pooled slot. Its event id is reserved
-  // at transmit time, so it keeps the (time, sequence) key a scheduled
-  // closure would have had.
-  struct PendingDelivery {
-    int64_t time = 0;           // delivery time, micros
-    EventLoop::EventId id = 0;  // reserved by Transmit
-    uint32_t prev = kNoSlot;    // in-flight list links; `next` also
-    uint32_t next = kNoSlot;    // threads the free list
-    uint32_t target = 0;        // index into attachments_
-    bool armed = false;         // (time, id) key pushed into the heap
-    Packet packet;
-  };
-  static_assert(sizeof(PendingDelivery) <= 168,
-                "in-flight delivery footprint budget; see DESIGN.md Memory footprint");
 
   // The attachment a packet for `next_hop` sent by `sender` goes to: one
   // owning next_hop on another node if there is one, else the first owner
@@ -162,19 +237,10 @@ class Lan final : private EventLoop::ReservedOwner {
   // how long a reordered packet is held past its computed delay and via
   // `duplicate` whether a second copy must be scheduled.
   void Mangle(Packet& packet, SimDuration& extra, bool& duplicate);
-  uint32_t AcquireSlot();
-  // Returns a delivered (or dropped) slot to the free list. Frees a
-  // heap-spilled payload the receiver did not take, so an idle slot never
-  // pins a jumbo buffer.
-  void ReleaseSlot(uint32_t slot);
-  // Chunk k holds kFirstChunk << k slots and starts at slot
-  // kFirstChunk * (2^k - 1).
-  PendingDelivery& delivery(uint32_t slot) {
-    const int k = std::bit_width((slot / kFirstChunk) + 1) - 1;
-    return deliveries_[k][slot + kFirstChunk - (kFirstChunk << k)];
-  }
+  PendingDelivery& delivery(uint32_t slot) { return (*pool_)[slot]; }
 
   Network* network_;
+  DeliveryPool* pool_;  // the Network's
   std::string name_;
   TraceNodeId trace_id_ = 0;
   LanConfig config_;
@@ -188,21 +254,8 @@ class Lan final : private EventLoop::ReservedOwner {
   SimTime medium_free_at_;  // when the shared medium finishes its last frame
   uint64_t packets_ = 0;
   uint64_t bytes_ = 0;
-  // The slot pool: chunks that double in size and never move, each slot
-  // constructed when the pool first reaches it. A flat vector would copy
-  // itself and free the old block as it grows; at swarm scale that block is
-  // megabytes, and freeing it moves glibc's mmap threshold, which made peak
-  // RSS differ by 5% between identical runs. A small first chunk keeps the
-  // many short-lived Lans of fleet and punch runs in small allocations.
-  static constexpr uint32_t kFirstChunk = 16;
-  struct ChunkDeleter {
-    void operator()(PendingDelivery* chunk) const { ::operator delete(chunk); }
-  };
-  std::vector<std::unique_ptr<PendingDelivery[], ChunkDeleter>> deliveries_;
-  uint32_t slot_count_ = 0;  // slots constructed so far
   uint32_t head_ = kNoSlot;  // earliest in-flight delivery
   uint32_t tail_ = kNoSlot;  // latest in-flight delivery
-  uint32_t free_ = kNoSlot;  // free-slot list
   // Null when the Network has no metrics registry (obs::Inc is null-safe).
   obs::Counter* metric_corrupted_ = nullptr;
   obs::Counter* metric_duplicated_ = nullptr;

@@ -23,6 +23,7 @@ obs::MetricsRegistry* Network::EnableMetrics() {
                         metrics_->GetCounter("loop.timers_wheel"),
                         metrics_->GetCounter("loop.timers_due"),
                         metrics_->GetCounter("loop.wheel_cascades"));
+    deliveries_.AttachMetrics(metrics_.get());
   }
   return metrics_.get();
 }
@@ -39,6 +40,7 @@ void Network::Reset(uint64_t seed) {
   if (metrics_ != nullptr) {
     metrics_->Reset();
   }
+  deliveries_.ResetPeak();
   rng_ = Rng(seed);
   next_packet_id_ = 1;
 }

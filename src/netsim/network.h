@@ -49,6 +49,9 @@ class Network {
 
   Lan* CreateLan(std::string name, LanConfig config = LanConfig{});
 
+  // The slots every Lan parks its in-flight packets in.
+  DeliveryPool& delivery_pool() { return deliveries_; }
+
   // Construct a node of type T (constructor signature T(Network*, args...))
   // owned by this Network.
   template <typename T, typename... Args>
@@ -63,8 +66,8 @@ class Network {
 
   // Tear down every Node and Lan and return to the state of a freshly
   // constructed Network(seed) — clock at 0, packet ids restarting at 1, no
-  // trace records or interned names — while keeping the event loop's and
-  // trace recorder's warmed-up capacities. A reused arena runs the next
+  // trace records or interned names — while keeping the event loop's, trace
+  // recorder's and delivery pool's warmed-up capacities. A reused arena runs the next
   // simulation bit-identically to a fresh Network but without the per-run
   // allocation storm; the fleet runner leans on this.
   void Reset(uint64_t seed);
@@ -78,6 +81,10 @@ class Network {
   Rng rng_;
   TraceRecorder trace_;
   std::unique_ptr<obs::MetricsRegistry> metrics_;
+  // Declared before lans_ so it outlives every Lan; after metrics_ so its
+  // gauges outlive the Lans that release slots into it. Reset keeps its
+  // chunks.
+  DeliveryPool deliveries_;
   std::vector<std::unique_ptr<Lan>> lans_;
   std::vector<std::unique_ptr<Node>> nodes_;
   uint64_t next_packet_id_ = 1;

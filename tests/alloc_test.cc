@@ -97,10 +97,14 @@ void* operator new[](size_t size) {
   return p;
 }
 
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, size_t) noexcept { std::free(p); }
+// Not inlined: gcc pairs a `new` expression with the `operator delete` it
+// calls, but once a replaced delete is inlined it sees only `std::free` on
+// a pointer from `operator new` and warns (-Wmismatched-new-delete), though
+// the replaced new above does allocate with malloc.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p, size_t) noexcept { std::free(p); }
 
 namespace natpunch {
 namespace {
@@ -447,7 +451,7 @@ TEST(ZeroAllocTest, JumboPayloadsAllocateButStillFlow) {
 // per-container heap traffic cannot creep back (DESIGN.md "Memory
 // footprint").
 TEST(ColdWorldAllocTest, NatCheckReportAllocationBudget) {
-  constexpr double kMaxAllocationsPerReport = 64;
+  constexpr double kMaxAllocationsPerReport = 60;
   const std::vector<DeviceSpec> fleet = BuildFleet(PaperTable1Vendors(), /*seed=*/2005);
   std::vector<DeviceSpec> devices;
   for (size_t i = 0; i < fleet.size(); i += 10) {

@@ -15,6 +15,8 @@
 #include "src/netsim/event_loop.h"
 #include "src/netsim/network.h"
 #include "src/netsim/packet.h"
+#include "src/netsim/payload.h"
+#include "src/obs/metrics.h"
 
 namespace natpunch {
 namespace {
@@ -650,6 +652,9 @@ TEST(LanTest, RandomizedDeliveriesAgainstMapModel) {
   // The run exercised every path it is meant to.
   EXPECT_GT(net.trace().Count(TraceEvent::kDuplicate), 100u);
   EXPECT_GT(net.trace().Count(TraceEvent::kReorder), 100u);
+  // Every slot the three Lans took went back to the shared pool.
+  EXPECT_EQ(net.delivery_pool().live(), 0u);
+  EXPECT_GT(net.delivery_pool().peak(), 0u);
 }
 
 TEST(LanTest, DestroyedWithDeliveriesInFlightLeavesNothingArmed) {
@@ -774,6 +779,207 @@ TEST(LanTest, DuplicateIpWhoseFirstOwnerIsTheSender) {
     EXPECT_EQ(first->received[0].id, 2u);
     EXPECT_EQ(first->received[1].id, 3u);
   }
+}
+
+// Sends `count` packets from `from` to `to` over `lan` in one instant. Packet
+// i has id i + 1 and a payload of `payload_size` bytes, each byte i.
+void Burst(Lan* lan, Node* from, Ipv4Address to, int count, size_t payload_size = 0) {
+  for (int i = 0; i < count; ++i) {
+    Packet p;
+    p.id = static_cast<uint64_t>(i + 1);
+    p.payload = Bytes(payload_size, static_cast<uint8_t>(i));
+    p.set_dst(Endpoint(to, 9));
+    lan->Transmit(from, to, std::move(p));
+  }
+}
+
+size_t HeapPayloadSlots(DeliveryPool& pool) {
+  size_t spilled = 0;
+  for (uint32_t slot = 0; slot < pool.slots(); ++slot) {
+    spilled += pool[slot].packet.payload.is_inline() ? 0 : 1;
+  }
+  return spilled;
+}
+
+TEST(LanPoolTest, LansWhoseBurstsDoNotOverlapShareCapacity) {
+  Network net(1);
+  DeliveryPool& pool = net.delivery_pool();
+  Lan* lans[2] = {net.CreateLan("first", LanConfig{.latency = Millis(1)}),
+                  net.CreateLan("second", LanConfig{.latency = Millis(1)})};
+  SinkNode* tx[2] = {};
+  SinkNode* rx[2] = {};
+  for (int i = 0; i < 2; ++i) {
+    tx[i] = net.Create<SinkNode>("tx" + std::to_string(i));
+    rx[i] = net.Create<SinkNode>("rx" + std::to_string(i));
+    tx[i]->AttachTo(lans[i], Ipv4Address::FromOctets(10, 0, static_cast<uint8_t>(i), 1));
+    rx[i]->AttachTo(lans[i], Ipv4Address::FromOctets(10, 0, static_cast<uint8_t>(i), 2));
+  }
+  Burst(lans[0], tx[0], Ipv4Address::FromOctets(10, 0, 0, 2), 100);
+  EXPECT_EQ(pool.live(), 100u);
+  net.RunUntilIdle();
+  EXPECT_EQ(pool.live(), 0u);
+  EXPECT_EQ(pool.slots(), 100u);
+  const size_t capacity = pool.capacity();
+  EXPECT_GE(capacity, 100u);
+
+  Burst(lans[1], tx[1], Ipv4Address::FromOctets(10, 0, 1, 2), 60);
+  net.RunUntilIdle();
+  EXPECT_EQ(rx[0]->received.size(), 100u);
+  EXPECT_EQ(rx[1]->received.size(), 60u);
+  // The larger burst, not the sum of both.
+  EXPECT_EQ(pool.slots(), 100u);
+  EXPECT_EQ(pool.capacity(), capacity);
+  EXPECT_EQ(pool.peak(), 100u);
+  EXPECT_EQ(pool.live(), 0u);
+}
+
+TEST(LanPoolTest, DestroyedLanReturnsItsSlotsForReuse) {
+  Network net(1);
+  DeliveryPool& pool = net.delivery_pool();
+  auto doomed = std::make_unique<Lan>(&net, "doomed", LanConfig{.latency = Millis(5)});
+  auto* a = net.Create<SinkNode>("a");
+  auto* b = net.Create<SinkNode>("b");
+  a->AttachTo(doomed.get(), Ipv4Address::FromOctets(10, 0, 0, 1));
+  b->AttachTo(doomed.get(), Ipv4Address::FromOctets(10, 0, 0, 2));
+  Burst(doomed.get(), a, Ipv4Address::FromOctets(10, 0, 0, 2), 40);
+  EXPECT_EQ(pool.live(), 40u);
+  const size_t slots = pool.slots();
+  const size_t chunks = pool.chunks();
+  doomed.reset();
+  EXPECT_EQ(pool.live(), 0u);
+  EXPECT_TRUE(net.event_loop().idle());
+
+  Lan* later = net.CreateLan("later", LanConfig{.latency = Millis(5)});
+  auto* c = net.Create<SinkNode>("c");
+  auto* d = net.Create<SinkNode>("d");
+  c->AttachTo(later, Ipv4Address::FromOctets(10, 0, 1, 1));
+  d->AttachTo(later, Ipv4Address::FromOctets(10, 0, 1, 2));
+  Burst(later, c, Ipv4Address::FromOctets(10, 0, 1, 2), 40);
+  EXPECT_EQ(pool.slots(), slots);
+  EXPECT_EQ(pool.chunks(), chunks);
+  net.RunUntilIdle();
+  EXPECT_TRUE(b->received.empty());
+  ASSERT_EQ(d->received.size(), 40u);
+  EXPECT_EQ(d->received[39].id, 40u);
+  EXPECT_EQ(pool.live(), 0u);
+}
+
+TEST(LanPoolTest, SpilledPayloadInFlightIsFreedOnTeardown) {
+  // A payload past the inline buffer lives on the heap; a slot dropped
+  // with it in flight must free it (LeakSanitizer checks the process end).
+  constexpr size_t kSpilled = Payload::kInlineCapacity + 100;
+  enum class Teardown { kDestroyLan, kResetLoop, kResetNetwork };
+  for (const Teardown teardown :
+       {Teardown::kDestroyLan, Teardown::kResetLoop, Teardown::kResetNetwork}) {
+    Network net(1);
+    DeliveryPool& pool = net.delivery_pool();
+    auto lan = std::make_unique<Lan>(&net, "lan", LanConfig{.latency = Millis(5)});
+    auto* a = net.Create<SinkNode>("a");
+    auto* b = net.Create<SinkNode>("b");
+    a->AttachTo(lan.get(), Ipv4Address::FromOctets(10, 0, 0, 1));
+    b->AttachTo(lan.get(), Ipv4Address::FromOctets(10, 0, 0, 2));
+    Burst(lan.get(), a, Ipv4Address::FromOctets(10, 0, 0, 2), 5, kSpilled);
+    ASSERT_EQ(HeapPayloadSlots(pool), 5u);
+    switch (teardown) {
+      case Teardown::kDestroyLan:
+        lan.reset();
+        break;
+      case Teardown::kResetLoop:
+        net.event_loop().Reset();
+        break;
+      case Teardown::kResetNetwork:
+        net.Reset(2);  // the loop's Reset drops the deliveries, then lans go
+        break;
+    }
+    const auto label = static_cast<int>(teardown);
+    EXPECT_EQ(pool.live(), 0u) << label;
+    EXPECT_EQ(HeapPayloadSlots(pool), 0u) << label;
+    EXPECT_EQ(pool.slots(), 5u) << label;  // the slots themselves stay pooled
+  }
+}
+
+// Forwards every packet it receives onto another Lan, the way a NAT or
+// router hands a packet from one segment to the next inside a delivery.
+class ForwardNode : public Node {
+ public:
+  ForwardNode(Network* net, std::string name) : Node(net, std::move(name)) {}
+  void HandlePacket(int iface, Packet&& packet) override {
+    (void)iface;
+    out->Transmit(this, to, std::move(packet));
+  }
+  Lan* out = nullptr;
+  Ipv4Address to;
+};
+
+TEST(LanPoolTest, ForwardThatGrowsThePoolKeepsItsOwnSlot) {
+  // The first chunk is full when the first delivery fires: that delivery
+  // still holds its slot while the forward takes a new one, so the pool
+  // grows by a chunk underneath the packet being forwarded.
+  Network net(1);
+  DeliveryPool& pool = net.delivery_pool();
+  Lan* in = net.CreateLan("in", LanConfig{.latency = Millis(1)});
+  Lan* out = net.CreateLan("out", LanConfig{.latency = Millis(1)});
+  auto* src = net.Create<SinkNode>("src");
+  auto* fwd = net.Create<ForwardNode>("fwd");
+  auto* sink = net.Create<SinkNode>("sink");
+  src->AttachTo(in, Ipv4Address::FromOctets(10, 0, 0, 1));
+  fwd->AttachTo(in, Ipv4Address::FromOctets(10, 0, 0, 2));
+  fwd->AttachTo(out, Ipv4Address::FromOctets(10, 0, 1, 1));
+  sink->AttachTo(out, Ipv4Address::FromOctets(10, 0, 1, 2));
+  fwd->out = out;
+  fwd->to = Ipv4Address::FromOctets(10, 0, 1, 2);
+
+  constexpr int kPackets = static_cast<int>(DeliveryPool::kFirstChunk);
+  // Odd packets spill to the heap, even ones stay in their slot's buffer.
+  for (int i = 0; i < kPackets; ++i) {
+    Packet p;
+    p.id = static_cast<uint64_t>(i + 1);
+    p.payload = Bytes(i % 2 == 0 ? 32 : Payload::kInlineCapacity + 32, static_cast<uint8_t>(i));
+    p.set_dst(Endpoint(Ipv4Address::FromOctets(10, 0, 0, 2), 9));
+    in->Transmit(src, p.dst_ip, std::move(p));
+  }
+  EXPECT_EQ(pool.chunks(), 1u);
+  EXPECT_EQ(pool.slots(), pool.capacity());
+  net.RunUntilIdle();
+  EXPECT_EQ(pool.chunks(), 2u);
+  ASSERT_EQ(sink->received.size(), static_cast<size_t>(kPackets));
+  for (int i = 0; i < kPackets; ++i) {
+    const Packet& p = sink->received[static_cast<size_t>(i)];
+    EXPECT_EQ(p.id, static_cast<uint64_t>(i + 1));
+    EXPECT_EQ(p.payload,
+              Bytes(i % 2 == 0 ? 32 : Payload::kInlineCapacity + 32, static_cast<uint8_t>(i)))
+        << i;
+  }
+  EXPECT_EQ(pool.live(), 0u);
+}
+
+TEST(LanPoolTest, GaugesFollowTheSharedPool) {
+  Network net(1);
+  obs::MetricsRegistry* reg = net.EnableMetrics();
+  Lan* lan = net.CreateLan("lan", LanConfig{.latency = Millis(1)});
+  auto* a = net.Create<SinkNode>("a");
+  auto* b = net.Create<SinkNode>("b");
+  a->AttachTo(lan, Ipv4Address::FromOctets(10, 0, 0, 1));
+  b->AttachTo(lan, Ipv4Address::FromOctets(10, 0, 0, 2));
+  Burst(lan, a, Ipv4Address::FromOctets(10, 0, 0, 2), 20);
+  const obs::Gauge* live = reg->FindGauge("mem.lan_deliveries.live");
+  const obs::Gauge* peak = reg->FindGauge("mem.lan_deliveries.peak");
+  const obs::Gauge* chunks = reg->FindGauge("mem.lan_deliveries.chunks");
+  ASSERT_NE(live, nullptr);
+  ASSERT_NE(peak, nullptr);
+  ASSERT_NE(chunks, nullptr);
+  EXPECT_EQ(live->value(), 20);
+  EXPECT_EQ(peak->value(), 20);
+  EXPECT_EQ(chunks->value(), 2);  // 16 + 32 slots
+  net.RunUntilIdle();
+  EXPECT_EQ(live->value(), 0);
+  EXPECT_EQ(peak->value(), 20);
+  // A reused Network starts a new peak but keeps (and reports) its chunks.
+  net.Reset(2);
+  EXPECT_EQ(live->value(), 0);
+  EXPECT_EQ(peak->value(), 0);
+  EXPECT_EQ(chunks->value(), 2);
+  EXPECT_EQ(net.delivery_pool().peak(), 0u);
 }
 
 TEST(NodeTest, LongestPrefixMatchWins) {
